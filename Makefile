@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzViewRecord -fuzztime=10s ./internal/pex/
 	$(GO) test -fuzz=FuzzPoisonClause -fuzztime=10s ./internal/fault/
 	$(GO) test -fuzz=FuzzTQWire -fuzztime=10s ./internal/tq/
+	$(GO) test -fuzz=FuzzOTQDifferential -fuzztime=10s ./internal/otq/
 
 fmt:
 	gofmt -w .

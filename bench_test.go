@@ -689,7 +689,7 @@ func BenchmarkE28EngineScale(b *testing.B) {
 
 func BenchmarkE29JudgedScale(b *testing.B) {
 	// The E28 world plus a query and a verdict: count-only retention with
-	// the streaming OTQ checker riding the event stream, so the judged
+	// the OTQ checker riding the event stream, so the judged
 	// run stores no trace. The delta over BenchmarkE28EngineScale is the
 	// price of judgment itself.
 	for i := 0; i < b.N; i++ {
@@ -705,10 +705,9 @@ func BenchmarkE29JudgedScale(b *testing.B) {
 			Protocol: func() otq.Protocol {
 				return &otq.FloodTTL{TTL: 10, MaxLatency: 2}
 			},
-			Pex:         pex.Config{Enabled: true, SampleEvery: 120},
-			LiteTrace:   true,
-			StreamCheck: true,
-			MinLatency:  1, MaxLatency: 2,
+			Pex:        pex.Config{Enabled: true, SampleEvery: 120},
+			LiteTrace:  true,
+			MinLatency: 1, MaxLatency: 2,
 			QueryAt: 60,
 			Horizon: 120,
 		})

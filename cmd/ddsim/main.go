@@ -16,7 +16,7 @@
 //	ddsim -n 64 -protocol echo-wave -pex -pex-policy pushpull -pex-view 8
 //	ddsim -n 64 -protocol echo-wave -pex -auth -poison 'nodes=4+9,rate=1,sybils=3,base=1000@24-'
 //	ddsim -n 10000 -protocol none -pex -lite-trace -arrival 1 -horizon 240
-//	ddsim -n 10000 -protocol flood-ttl -ttl 10 -pex -stream-check -lite-trace -query-at 120 -horizon 240
+//	ddsim -n 10000 -protocol flood-ttl -ttl 10 -pex -lite-trace -query-at 120 -horizon 240
 //	ddsim -n 64 -protocol none -pex -tq -tq-coeff 1.6 -tq-ttl 4 -arrival 1.3 -session 40 -horizon 600
 //	ddsim -n 1024 -protocol none -pex -tq -tq-coeff 1.6 -tq-ttl 4 -lite-trace -arrival 20 -session 40 -horizon 600
 //	ddsim -n 48 -protocol none -dynreg -write-window 96 -arrival 0.5 -session 60 -horizon 600
@@ -73,8 +73,7 @@ func main() {
 		pexPolicy   = flag.String("pex-policy", "pushpull", "pex exchange policy: rand, head, tail, pushpull")
 		pexView     = flag.Int("pex-view", 8, "pex partial-view size")
 		poisonSpec  = flag.String("poison", "", "poison clause body appended to -faults, e.g. 'nodes=4+9,rate=1,sybils=3,base=1000@24-' (requires -pex; see internal/fault)")
-		liteTrace   = flag.Bool("lite-trace", false, "count-only trace retention: exact message/concurrency counters, no stored events (requires -protocol none or -stream-check; keeps 100k-entity runs in memory)")
-		streamCheck = flag.Bool("stream-check", false, "judge the query with the streaming OTQ checker (verdict bit-identical to the batch checker; composes with -lite-trace so judged runs need no stored trace)")
+		liteTrace   = flag.Bool("lite-trace", false, "count-only trace retention: exact message/concurrency counters, no stored events (the query is judged live from the event stream either way; keeps 100k-entity runs in memory)")
 		tqOn        = flag.Bool("tq", false, "drive the timed-quorum replicated register workload, judged by its streaming regularity checker (requires -protocol none; pair with -pex for the dynamic-overlay setting; composes with -lite-trace)")
 		dynOn       = flag.Bool("dynreg", false, "drive the epidemic replicated register workload, judged by its batch regularity checker (requires -protocol none; the batch checker reads stored events, so -lite-trace is rejected)")
 		tqCoeff     = flag.Float64("tq-coeff", 0, "tq quorum coefficient: q = ceil(coeff*sqrt(N)) (0 = default 1.0)")
@@ -117,13 +116,6 @@ func main() {
 		// Protocol-less run: no query launches, so the query-at default is
 		// meaningless rather than wrong — zero it instead of erroring.
 		*queryAt = 0
-		if *streamCheck {
-			fmt.Fprintln(os.Stderr, "ddsim: -stream-check without a query protocol has nothing to judge; drop it or pick a -protocol")
-			os.Exit(2)
-		}
-	} else if *liteTrace && !*streamCheck {
-		fmt.Fprintln(os.Stderr, "ddsim: -lite-trace discards the events the batch OTQ checker reads; add -stream-check or use -protocol none")
-		os.Exit(2)
 	}
 
 	var tqc *tq.Client
@@ -242,13 +234,12 @@ func main() {
 		os.Exit(2)
 	}
 	scen := exp.Scenario{
-		Seed:        *seed,
-		Overlay:     overlay,
-		Churn:       cc,
-		Protocol:    proto,
-		LiteTrace:   *liteTrace,
-		StreamCheck: *streamCheck,
-		MinLatency:  1, MaxLatency: 2,
+		Seed:       *seed,
+		Overlay:    overlay,
+		Churn:      cc,
+		Protocol:   proto,
+		LiteTrace:  *liteTrace,
+		MinLatency: 1, MaxLatency: 2,
 		Faults:           plan,
 		Reliable:         relCfg,
 		Auth:             authCfg,
@@ -394,11 +385,14 @@ func main() {
 			tqc.EffectiveLease(), tqc.MeasuredRate())
 		fmt.Printf("tq walks: launched %d, probe deliveries %d, forwards %d, responses consumed %d (late %d)\n",
 			cn.Walks, cn.Probes, cn.Forwards, cn.Responses, cn.LateResponses)
-		fmt.Printf("tq regularity (streaming): stale %d, fabricated %d (violation rate %.3f, max lag %d)\n",
-			rep.Stale, rep.Fabricated, rep.ViolationRate(), rep.MaxLag)
-		if rep.OK() {
+		fmt.Printf("tq regularity (streaming): stale %d, fabricated %d, silent %d (violation rate %.3f, max lag %d)\n",
+			rep.Stale, rep.Fabricated, rep.Silent, rep.ViolationRate(), rep.MaxLag)
+		switch {
+		case rep.OK():
 			fmt.Println("verdict: every value-returning read was regular — degradation stayed flagged (soft), never silent")
-		} else {
+		case rep.Silent == 0:
+			fmt.Println("verdict: some reads returned wrong values, each flagged expired or soft — degradation stayed honest, never silent")
+		default:
 			fmt.Println("verdict: the register served silently wrong answers on this run")
 		}
 		return
@@ -420,9 +414,6 @@ func main() {
 		// No query ran: there is no judgment to print, and the inferred
 		// class needs the per-event trace a lite run discards.
 		return
-	}
-	if *streamCheck {
-		fmt.Println("checker: streaming (verdict identical to the batch checker)")
 	}
 	if *liteTrace {
 		fmt.Println("inferred class: n/a (count-only retention keeps no events to classify)")

@@ -74,11 +74,11 @@ func (r *CheckReport) checkSize(tr *Trace, c Class) {
 	switch c.Size {
 	case SizeStatic:
 		var start Time
-		if evs := tr.Events(); len(evs) > 0 {
+		if evs := tr.log(); len(evs) > 0 {
 			start = evs[0].At
 		}
 		joins := 0
-		for _, ev := range tr.Events() {
+		for _, ev := range tr.log() {
 			switch ev.Kind {
 			case TJoin:
 				joins++
@@ -104,7 +104,7 @@ func (r *CheckReport) checkSize(tr *Trace, c Class) {
 
 func (r *CheckReport) checkGeo(tr *Trace, c Class) {
 	g := graph.New()
-	evs := tr.Events()
+	evs := tr.log()
 	i := 0
 	for i < len(evs) {
 		t := evs[i].At
@@ -177,10 +177,10 @@ func InferClass(tr *Trace) Class {
 
 	static := true
 	var start Time
-	if evs := tr.Events(); len(evs) > 0 {
+	if evs := tr.log(); len(evs) > 0 {
 		start = evs[0].At
 	}
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.log() {
 		if ev.Kind == TLeave || (ev.Kind == TJoin && ev.At != start) {
 			static = false
 			break
@@ -198,7 +198,7 @@ func InferClass(tr *Trace) Class {
 	complete, connected := true, true
 	maxDiam := 0
 	g := graph.New()
-	evs := tr.Events()
+	evs := tr.log()
 	i := 0
 	for i < len(evs) {
 		t := evs[i].At

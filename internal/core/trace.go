@@ -90,17 +90,18 @@ type Trace struct {
 	end    Time
 	closed bool
 
-	// Count-only retention (SetCountOnly): events update the aggregate
-	// counters below and are then discarded, keeping memory O(tags)
-	// instead of O(events). Scale runs at n >= 10k entities use it; the
-	// specification checkers need full event retention and must not.
-	countOnly bool
+	// Counters every trace keeps at Record time, whatever its retention,
+	// so Len, Messages, MaxConcurrency and FirstMark never rescan.
 	count     int
 	lastAt    Time
 	msgAll    MessageStats
 	msgByTag  map[string]*MessageStats
 	cur, peak int
 	firstMark map[string]Time
+
+	// countOnly (SetCountOnly) drops every event once the counters have
+	// seen it, keeping memory O(tags) instead of O(events).
+	countOnly bool
 
 	sinks []func(TraceEvent)
 }
@@ -117,20 +118,17 @@ func (tr *Trace) Stream(fn func(TraceEvent)) {
 }
 
 // SetCountOnly switches the trace to count-only retention: Len,
-// Messages, MaxConcurrency, FirstMark and End stay exact, every other
-// accessor sees an empty event list. It exists for scale experiments
-// whose worlds record tens of millions of events that no checker will
-// ever read; judged runs must keep the default full retention. Must be
-// called before the first Record.
+// Messages, MaxConcurrency, FirstMark and End stay exact, and every
+// read of the event log (Events, Replay, the session and presence
+// functions, Temporal, MarkedEntities, ...) panics rather than answer
+// over zero events. It exists for scale experiments whose worlds record
+// tens of millions of events; their judges ride the stream through
+// Stream sinks. Must be called before the first Record.
 func (tr *Trace) SetCountOnly(on bool) {
-	if len(tr.events) > 0 || tr.count > 0 {
+	if tr.count > 0 {
 		panic("core: SetCountOnly on a trace that already holds events")
 	}
 	tr.countOnly = on
-	if on {
-		tr.msgByTag = make(map[string]*MessageStats)
-		tr.firstMark = make(map[string]Time)
-	}
 }
 
 // Record appends an event. Events must be recorded in non-decreasing time
@@ -139,61 +137,46 @@ func (tr *Trace) Record(ev TraceEvent) {
 	if tr.closed {
 		panic("core: Record on closed trace")
 	}
-	if tr.countOnly {
-		if tr.count > 0 && ev.At < tr.lastAt {
-			panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, tr.lastAt))
-		}
-		for _, fn := range tr.sinks {
-			fn(ev)
-		}
-		tr.count++
-		tr.lastAt = ev.At
-		if ev.At > tr.end {
-			tr.end = ev.At
-		}
-		switch ev.Kind {
-		case TJoin:
-			tr.cur++
-			if tr.cur > tr.peak {
-				tr.peak = tr.cur
-			}
-		case TLeave:
-			tr.cur--
-		case TSend, TDeliver, TDrop:
-			tr.countMessage(&tr.msgAll, ev.Kind)
-			s := tr.msgByTag[ev.Tag]
-			if s == nil {
-				s = &MessageStats{}
-				tr.msgByTag[ev.Tag] = s
-			}
-			tr.countMessage(s, ev.Kind)
-		case TMark:
-			if _, seen := tr.firstMark[ev.Tag]; !seen {
-				tr.firstMark[ev.Tag] = ev.At
-			}
-		}
-		return
-	}
-	if n := len(tr.events); n > 0 && ev.At < tr.events[n-1].At {
-		panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, tr.events[n-1].At))
+	if tr.count > 0 && ev.At < tr.lastAt {
+		panic(fmt.Sprintf("core: trace event at %d after event at %d", ev.At, tr.lastAt))
 	}
 	for _, fn := range tr.sinks {
 		fn(ev)
 	}
-	tr.events = append(tr.events, ev)
+	tr.count++
+	tr.lastAt = ev.At
 	if ev.At > tr.end {
 		tr.end = ev.At
 	}
-}
-
-func (tr *Trace) countMessage(s *MessageStats, kind TraceEventKind) {
-	switch kind {
-	case TSend:
-		s.Sent++
-	case TDeliver:
-		s.Delivered++
-	case TDrop:
-		s.Dropped++
+	switch ev.Kind {
+	case TJoin:
+		tr.cur++
+		if tr.cur > tr.peak {
+			tr.peak = tr.cur
+		}
+	case TLeave:
+		tr.cur--
+	case TSend, TDeliver, TDrop:
+		tr.msgAll.add(ev.Kind)
+		s := tr.msgByTag[ev.Tag]
+		if s == nil {
+			if tr.msgByTag == nil {
+				tr.msgByTag = make(map[string]*MessageStats)
+			}
+			s = &MessageStats{}
+			tr.msgByTag[ev.Tag] = s
+		}
+		s.add(ev.Kind)
+	case TMark:
+		if _, seen := tr.firstMark[ev.Tag]; !seen {
+			if tr.firstMark == nil {
+				tr.firstMark = make(map[string]Time)
+			}
+			tr.firstMark[ev.Tag] = ev.At
+		}
+	}
+	if !tr.countOnly {
+		tr.events = append(tr.events, ev)
 	}
 }
 
@@ -251,17 +234,23 @@ func (tr *Trace) End() Time { return tr.end }
 
 // Len returns the number of recorded events (including discarded ones
 // under count-only retention).
-func (tr *Trace) Len() int {
+func (tr *Trace) Len() int { return tr.count }
+
+// log is the one read path into the retained event log; every accessor
+// that walks events goes through it, so a count-only trace refuses the
+// read instead of answering over an empty log.
+func (tr *Trace) log() []TraceEvent {
 	if tr.countOnly {
-		return tr.count
+		panic("core: event log read on a count-only trace (SetCountOnly keeps counters, not events)")
 	}
-	return len(tr.events)
+	return tr.events
 }
 
 // Events returns a copy of the recorded events.
 func (tr *Trace) Events() []TraceEvent {
-	out := make([]TraceEvent, len(tr.events))
-	copy(out, tr.events)
+	evs := tr.log()
+	out := make([]TraceEvent, len(evs))
+	copy(out, evs)
 	return out
 }
 
@@ -269,15 +258,26 @@ func (tr *Trace) Events() []TraceEvent {
 // (incremental consumers keep a cursor instead of re-copying the whole
 // trace). A start beyond the log returns nil.
 func (tr *Trace) EventsSince(start int) []TraceEvent {
+	evs := tr.log()
 	if start < 0 {
 		start = 0
 	}
-	if start >= len(tr.events) {
+	if start >= len(evs) {
 		return nil
 	}
-	out := make([]TraceEvent, len(tr.events)-start)
-	copy(out, tr.events[start:])
+	out := make([]TraceEvent, len(evs)-start)
+	copy(out, evs[start:])
 	return out
+}
+
+// Replay hands every recorded event to fn, in order, without copying the
+// log: the post-hoc twin of a Stream sink, for checkers that judge a
+// finished run by feeding their streaming machine. fn must not Record
+// into the trace.
+func (tr *Trace) Replay(fn func(TraceEvent)) {
+	for _, ev := range tr.log() {
+		fn(ev)
+	}
 }
 
 // Interval is a half-open presence interval [From, To). To is the trace
@@ -295,7 +295,7 @@ func (iv Interval) Covers(t1, t2 Time) bool { return iv.From <= t1 && t2 < iv.To
 func (tr *Trace) Sessions() map[graph.NodeID][]Interval {
 	open := make(map[graph.NodeID]Time)
 	out := make(map[graph.NodeID][]Interval)
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		switch ev.Kind {
 		case TJoin:
 			if _, ok := open[ev.P]; !ok {
@@ -330,7 +330,7 @@ func (tr *Trace) SessionsBridgingRecovery() map[graph.NodeID][]Interval {
 	pendingRecover := make(map[graph.NodeID]bool)
 	lastCrashAt := make(map[graph.NodeID]Time)
 	out := make(map[graph.NodeID][]Interval)
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		switch ev.Kind {
 		case TMark:
 			switch ev.Tag {
@@ -393,7 +393,7 @@ func (tr *Trace) SessionsBridgingRejoin() map[graph.NodeID][]Interval {
 	lastLeaveAt := make(map[graph.NodeID]Time)
 	pendingReturn := make(map[graph.NodeID]bool)
 	out := make(map[graph.NodeID][]Interval)
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		switch ev.Kind {
 		case TMark:
 			switch ev.Tag {
@@ -478,7 +478,7 @@ func (tr *Trace) StableBetweenBridged(t1, t2 Time) []graph.NodeID {
 // Entities returns every entity that ever joined, in ascending order.
 func (tr *Trace) Entities() []graph.NodeID {
 	seen := make(map[graph.NodeID]bool)
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		if ev.Kind == TJoin {
 			seen[ev.P] = true
 		}
@@ -509,24 +509,7 @@ func (tr *Trace) PresentAt(t Time) []graph.NodeID {
 // MaxConcurrency returns the maximum number of simultaneously present
 // entities over the run — the observed concurrency level that places the
 // run within an infinite arrival model.
-func (tr *Trace) MaxConcurrency() int {
-	if tr.countOnly {
-		return tr.peak
-	}
-	cur, max := 0, 0
-	for _, ev := range tr.events {
-		switch ev.Kind {
-		case TJoin:
-			cur++
-			if cur > max {
-				max = cur
-			}
-		case TLeave:
-			cur--
-		}
-	}
-	return max
-}
+func (tr *Trace) MaxConcurrency() int { return tr.peak }
 
 // StableBetween returns the entities present during the whole closed
 // interval [t1, t2]: exactly the processes whose values a valid One-Time
@@ -565,7 +548,7 @@ func (tr *Trace) EverPresentBetween(t1, t2 Time) []graph.NodeID {
 // Temporal converts the trace's topology events into an evolving graph.
 func (tr *Trace) Temporal() *graph.Temporal {
 	tg := graph.NewTemporal()
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		switch ev.Kind {
 		case TJoin:
 			tg.Record(graph.TemporalEvent{At: ev.At, Kind: graph.NodeJoin, U: ev.P})
@@ -584,7 +567,7 @@ func (tr *Trace) Temporal() *graph.Temporal {
 // or 0 if there is none.
 func (tr *Trace) LastTopologyChange() Time {
 	last := Time(0)
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		switch ev.Kind {
 		case TJoin, TLeave, TEdgeUp, TEdgeDown:
 			if ev.At > last {
@@ -614,7 +597,7 @@ type SessionStats struct {
 func (tr *Trace) SessionStatistics() SessionStats {
 	var st SessionStats
 	events := 0
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		if ev.Kind == TJoin || ev.Kind == TLeave {
 			events++
 		}
@@ -647,32 +630,26 @@ type MessageStats struct {
 	Sent, Delivered, Dropped int
 }
 
+func (s *MessageStats) add(kind TraceEventKind) {
+	switch kind {
+	case TSend:
+		s.Sent++
+	case TDeliver:
+		s.Delivered++
+	case TDrop:
+		s.Dropped++
+	}
+}
+
 // Messages counts message events, optionally filtered by tag ("" = all).
 func (tr *Trace) Messages(tag string) MessageStats {
-	if tr.countOnly {
-		if tag == "" {
-			return tr.msgAll
-		}
-		if s := tr.msgByTag[tag]; s != nil {
-			return *s
-		}
-		return MessageStats{}
+	if tag == "" {
+		return tr.msgAll
 	}
-	var ms MessageStats
-	for _, ev := range tr.events {
-		if tag != "" && ev.Tag != tag {
-			continue
-		}
-		switch ev.Kind {
-		case TSend:
-			ms.Sent++
-		case TDeliver:
-			ms.Delivered++
-		case TDrop:
-			ms.Dropped++
-		}
+	if s := tr.msgByTag[tag]; s != nil {
+		return *s
 	}
-	return ms
+	return MessageStats{}
 }
 
 // MarkedEntities returns the distinct entities carrying a mark with the
@@ -682,7 +659,7 @@ func (tr *Trace) Messages(tag string) MessageStats {
 func (tr *Trace) MarkedEntities(tag string) []graph.NodeID {
 	seen := map[graph.NodeID]bool{}
 	var out []graph.NodeID
-	for _, ev := range tr.events {
+	for _, ev := range tr.log() {
 		if ev.Kind == TMark && ev.Tag == tag && !seen[ev.P] {
 			seen[ev.P] = true
 			out = append(out, ev.P)
@@ -705,14 +682,6 @@ func (tr *Trace) ProvenEquivocators() []graph.NodeID {
 // whether one exists — e.g. the detection latency of an injected fault,
 // measured from the injection window's start.
 func (tr *Trace) FirstMark(tag string) (Time, bool) {
-	if tr.countOnly {
-		at, ok := tr.firstMark[tag]
-		return at, ok
-	}
-	for _, ev := range tr.events {
-		if ev.Kind == TMark && ev.Tag == tag {
-			return ev.At, true
-		}
-	}
-	return 0, false
+	at, ok := tr.firstMark[tag]
+	return at, ok
 }

@@ -277,3 +277,50 @@ func TestEndAndClose(t *testing.T) {
 		t.Fatalf("End = %d after early Close", tr2.End())
 	}
 }
+
+// A count-only trace keeps counters, not events: every read of the event
+// log must refuse loudly instead of answering over an empty log.
+func TestCountOnlyRefusesLogReads(t *testing.T) {
+	tr := &Trace{}
+	tr.SetCountOnly(true)
+	tr.Join(0, 1)
+	tr.Join(0, 2)
+	tr.Mark(3, 1, MarkProvenEquivocator)
+	tr.Close(10)
+	reads := map[string]func(){
+		"Events":                     func() { tr.Events() },
+		"EventsSince":                func() { tr.EventsSince(0) },
+		"Replay":                     func() { tr.Replay(func(TraceEvent) {}) },
+		"Sessions":                   func() { tr.Sessions() },
+		"SessionsBridgingRecovery":   func() { tr.SessionsBridgingRecovery() },
+		"SessionsBridgingRejoin":     func() { tr.SessionsBridgingRejoin() },
+		"StableBetween":              func() { tr.StableBetween(0, 5) },
+		"StableBetweenBridged":       func() { tr.StableBetweenBridged(0, 5) },
+		"StableBetweenRejoinBridged": func() { tr.StableBetweenRejoinBridged(0, 5) },
+		"EverPresentBetween":         func() { tr.EverPresentBetween(0, 5) },
+		"PresentAt":                  func() { tr.PresentAt(5) },
+		"Entities":                   func() { tr.Entities() },
+		"Temporal":                   func() { tr.Temporal() },
+		"LastTopologyChange":         func() { tr.LastTopologyChange() },
+		"SessionStatistics":          func() { tr.SessionStatistics() },
+		"MarkedEntities":             func() { tr.MarkedEntities(MarkProvenEquivocator) },
+		"ProvenEquivocators":         func() { tr.ProvenEquivocators() },
+		"InferClass":                 func() { InferClass(tr) },
+	}
+	for name, read := range reads {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a count-only trace did not panic", name)
+				}
+			}()
+			read()
+		}()
+	}
+	if tr.Len() != 3 || tr.MaxConcurrency() != 2 || tr.End() != 10 {
+		t.Fatalf("counters wrong: len %d, peak %d, end %d", tr.Len(), tr.MaxConcurrency(), tr.End())
+	}
+	if at, ok := tr.FirstMark(MarkProvenEquivocator); !ok || at != 3 {
+		t.Fatalf("FirstMark = %d, %v", at, ok)
+	}
+}

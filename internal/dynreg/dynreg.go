@@ -285,9 +285,9 @@ func Check(tr *core.Trace) Report {
 	var rep Report
 	lastCompleted := uint64(0)
 	maxStarted := uint64(0)
-	for _, ev := range tr.Events() {
+	tr.Replay(func(ev core.TraceEvent) {
 		if ev.Kind != core.TMark {
-			continue
+			return
 		}
 		switch {
 		case strings.HasPrefix(ev.Tag, markWriteStart+":"):
@@ -303,7 +303,7 @@ func Check(tr *core.Trace) Report {
 		case strings.HasPrefix(ev.Tag, markRead+":"):
 			seq, ok := parseSeq(ev.Tag, 1)
 			if !ok {
-				continue
+				return
 			}
 			rep.Reads++
 			switch {
@@ -316,7 +316,7 @@ func Check(tr *core.Trace) Report {
 				}
 			}
 		}
-	}
+	})
 	return rep
 }
 

@@ -161,7 +161,7 @@ func E28(cfg Config) *Report {
 	return &Report{
 		ID:    "E28",
 		Title: "engine scale: 1k-100k entity worlds with live membership and churn",
-		Claim: "the calendar-queue engine, pooled delivery envelopes and indexed timer registries carry full worlds — live pex gossip, Poisson churn with rejoins, lossy latency-jittered channels — to n=100k entities: millions of events per run complete in tens of seconds at roughly constant per-event cost (~60-115 kEv/s and ~20-22 allocs/ev whole-world on the reference machine, dominated by pex view encode/merge, not scheduling — the engine alone sustains ~6 MEv/s at 0 allocs/ev in BenchmarkEngineN10k), where the old global heap priced every schedule at O(log pending) and append-only timer slices priced long-lived entities at O(timers ever set); past 10k the binding constraints move up the stack (pex refresh's O(present) candidate scan, full-trace retention), not the engine",
+		Claim: "the calendar-queue engine, pooled delivery envelopes and indexed timer registries carry full worlds — live pex gossip, Poisson churn with rejoins, lossy latency-jittered channels — to n=100k entities: millions of events per run complete in tens of seconds at roughly constant per-event cost (~60-115 kEv/s and ~20-22 allocs/ev whole-world on the reference machine, spent above the engine, not in scheduling — measured CPU shares put pex link reconciliation at 42% of the n=1k judged world — the engine alone sustains ~6 MEv/s at 0 allocs/ev in BenchmarkEngineN10k), where the old global heap priced every schedule at O(log pending) and append-only timer slices priced long-lived entities at O(timers ever set); past 10k the binding constraints move up the stack (pex refresh's O(present) candidate scan, full-trace retention), not the engine",
 		Table: tb,
 		Notes: []string{
 			"entities join via the churn stream at t=0 with ring-seeded views; arrivals at rate n/10000 per tick draw ~horizon/3 sessions and rejoin with p=0.3 after 8 ticks of downtime; the pex overlay exchanges on its default cadence the whole run",

@@ -35,10 +35,11 @@ type Scenario struct {
 	// Script, when set, runs right after world construction (at t=0); use
 	// it for manual population and staged interventions.
 	Script func(w *node.World, e *sim.Engine)
-	// Protocol builds the (single-use) query protocol for this run. Nil
-	// runs the world with no query and no OTQ judgment — membership and
-	// throughput studies at populations where a judged query would not
-	// fit (the Outcome, Run and Inferred fields stay zero).
+	// Protocol builds the (single-use) query protocol for this run. The
+	// query is judged by an otq.StreamChecker riding the live event
+	// stream, so judged runs compose with LiteTrace. Nil runs the world
+	// with no query and no OTQ judgment (the Outcome, Run and Inferred
+	// fields stay zero).
 	Protocol func() otq.Protocol
 	// Factory, for protocol-less scenarios, runs this behavior on every
 	// entity instead of Nop — register families (internal/tq,
@@ -48,17 +49,8 @@ type Scenario struct {
 	// LiteTrace switches the trace to count-only retention (see
 	// core.Trace.SetCountOnly): message and concurrency counters stay
 	// exact but individual events are discarded, keeping 100k-entity
-	// runs in memory. Requires a nil Protocol (the batch checker reads
-	// events) unless StreamCheck is set.
+	// runs in memory. Inferred stays zero (class inference reads events).
 	LiteTrace bool
-	// StreamCheck judges the query with the incremental streaming checker
-	// (otq.StreamChecker) fed from the live event stream instead of the
-	// batch checker's post-hoc trace scan. The verdict is bit-identical;
-	// the point is composition with LiteTrace, which makes judged runs
-	// possible at populations whose full event logs would not fit in
-	// memory. Requires a Protocol. Inferred stays zero under LiteTrace
-	// (class inference still reads events).
-	StreamCheck bool
 	// Latency bounds per-hop delay; zero means [1, 1].
 	MinLatency, MaxLatency sim.Time
 	// LossRate drops messages independently.
@@ -153,12 +145,6 @@ func Execute(sc Scenario) RunResult {
 		}
 		factory = sc.Factory
 	}
-	if sc.StreamCheck && proto == nil {
-		panic("exp: StreamCheck without a Protocol has nothing to judge")
-	}
-	if sc.LiteTrace && proto != nil && !sc.StreamCheck {
-		panic("exp: LiteTrace discards the events the batch OTQ checker needs; add StreamCheck or use a nil Protocol")
-	}
 	valueOf := sc.ValueOf
 	w := node.NewWorld(engine, sc.Overlay(sc.Seed), factory, node.Config{
 		MinLatency: sc.MinLatency,
@@ -177,7 +163,7 @@ func Execute(sc Scenario) RunResult {
 		w.Trace.SetCountOnly(true)
 	}
 	var checker *otq.StreamChecker
-	if sc.StreamCheck {
+	if proto != nil {
 		checker = otq.NewStreamChecker(otq.CheckOptions{
 			BridgeRecoveries: sc.BridgeRecoveries,
 			BridgeRejoins:    sc.BridgeRejoins,
@@ -211,9 +197,7 @@ func Execute(sc Scenario) RunResult {
 		}
 		querier = present[idx]
 		run = proto.Launch(w, querier)
-		if checker != nil {
-			checker.Arm(run)
-		}
+		checker.Arm(run)
 	}
 	engine.RunUntil(sc.Horizon)
 	w.Close()
@@ -235,14 +219,7 @@ func Execute(sc Scenario) RunResult {
 		Querier:        querier,
 	}
 	if proto != nil {
-		if checker != nil {
-			res.Outcome = checker.Finish(w.Trace.End(), valueOf)
-		} else {
-			res.Outcome = otq.CheckWith(w.Trace, run, valueOf, otq.CheckOptions{
-				BridgeRecoveries: sc.BridgeRecoveries,
-				BridgeRejoins:    sc.BridgeRejoins,
-			})
-		}
+		res.Outcome = checker.Finish(w.Trace.End(), valueOf)
 		if !sc.LiteTrace {
 			res.Inferred = core.InferClass(w.Trace)
 		}

@@ -125,7 +125,7 @@ func e30RingWindow(n int) sim.Time {
 type e30Metrics struct {
 	ops        float64 // writes + reads issued by the driver
 	attempts   float64 // read ops that produced a result (incl. refusals)
-	viol       float64 // stale + fabricated fraction of attempts (SILENT failures)
+	viol       float64 // SILENT wrong reads (stale or fabricated, unflagged) per attempt
 	soft       float64 // flagged-stale serve fraction (tq's graceful mode)
 	refused    float64 // reads yielding no value (tq read-none, dynreg refusals)
 	rlat, wlat float64 // mean op latencies (dynreg write = its fixed window)
@@ -242,7 +242,7 @@ func e30Run(seed uint64, c e30Cell) e30Metrics {
 		att := rep.Reads + rep.NoValue
 		m.attempts = float64(att)
 		if att > 0 {
-			m.viol = float64(rep.Stale+rep.Fabricated) / float64(att)
+			m.viol = float64(rep.Silent) / float64(att)
 			m.soft = float64(rep.Soft) / float64(att)
 			m.refused = float64(rep.NoValue) / float64(att)
 		}
@@ -257,6 +257,7 @@ func e30Run(seed uint64, c e30Cell) e30Metrics {
 		att := rep.Reads + rep.NotServed
 		m.attempts = float64(att)
 		if att > 0 {
+			// dynreg never flags a read, so every wrong one is silent.
 			m.viol = float64(rep.Stale+rep.Fabricated) / float64(att)
 			m.refused = float64(rep.NotServed) / float64(att)
 		}
@@ -363,7 +364,7 @@ func E30(cfg Config) *Report {
 		Table: tb,
 		Notes: []string{
 			"rate is per-member Poisson arrivals per tick (world arrival rate = rate*n); initial population immortal, sessions ~40 ticks, rejoin p=0.3 after 8 ticks down, 5% message loss on every channel; workload starts at horizon/5: a single immortal writer writes every 16 ticks, reads land every 7 ticks at a rotating present member",
-			"viol = stale or fabricated reads / read results — SILENT wrong answers, the caller cannot tell; soft = tq serving the best-known value explicitly flagged stale after its retry budget (graceful, honest); refused = reads yielding no value at all (dynreg joiners mid-join-protocol, tq budget exhaustion with nothing cached)",
+			"viol = SILENT wrong answers / read results: stale or fabricated values the read did not flag, so the caller cannot tell (tq: flagged ok; dynreg never flags, so every stale or fabricated read counts) — a tq read flagged expired is served with its lease lapsed, and timed quorums promise intersection only while the lease lives; soft = tq serving the best-known value explicitly flagged stale after its retry budget (graceful, honest); refused = reads yielding no value at all (dynreg joiners mid-join-protocol, tq budget exhaustion with nothing cached)",
 			fmt.Sprintf("headline curves at n=%d across rates {%s}: tq's flagged soft fraction rises smoothly {%s} with viol 0 at every point, while dynreg/ring's SILENT viol goes {%s} — dirty even at rate 0 (5%% loss plus latency jitter already defeat the founding-diameter window, and the protocol has no way to notice) and collapsing as churn grows the ring past the assumed diameter; all its failures are unflagged stale serves", headN, e30RateList(cfg), joinCurve(tqSoftCurve), joinCurve(ringViolCurve)),
 			fmt.Sprintf("dynreg-over-pex holds viol 0 at n=%d only by full-view flooding — its msgs/op runs 3-6x tq's at every cell and grows Theta(N), paying linearly for what quorums buy at sqrt(N): %s", headN, floodVerdict),
 			fmt.Sprintf("policy sweep (n=%d, rate %.3f): %s serves quorum walks best (failure fractions: pushpull %.3f, rand %.3f, head %.3f, tail %.3f) — walk responses unwind along the recorded path, so walks want STABLE view edges; tail's anti-entropy exchange rotates views slowest, pushpull's fast convergence decays return paths fastest", headN, e30SweepRate, preferred, polFail[pex.PolicyPushPull], polFail[pex.PolicyRand], polFail[pex.PolicyHead], polFail[pex.PolicyTail]),

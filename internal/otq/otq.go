@@ -26,7 +26,6 @@ package otq
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/agg"
 	"repro/internal/core"
@@ -230,74 +229,26 @@ func Check(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64) Outcome {
 	return CheckWith(tr, r, valueOf, CheckOptions{})
 }
 
-// CheckWith is Check with an explicit participation notion.
+// CheckWith is Check with an explicit participation notion. It replays
+// the stored log through a StreamChecker — the package's one validity
+// judge — arming it where a live run does: just before the first event
+// at or after r.Started (after the log if there is none). The trace must
+// retain its events; a count-only trace panics, and its runs are judged
+// by a StreamChecker registered as a live sink instead.
 func CheckWith(tr *core.Trace, r *Run, valueOf func(graph.NodeID) float64, opts CheckOptions) Outcome {
-	stableBetween := tr.StableBetween
-	if opts.BridgeRecoveries {
-		stableBetween = tr.StableBetweenBridged
-	}
-	if opts.BridgeRejoins {
-		stableBetween = tr.StableBetweenRejoinBridged
-	}
-	ans := r.Answer()
-	if ans == nil {
-		out := Outcome{StableCount: len(stableBetween(r.Started, tr.End()))}
-		for _, id := range tr.PresentAt(tr.End()) {
-			if id == r.Querier {
-				return out
-			}
+	c := NewStreamChecker(opts)
+	armed := false
+	tr.Replay(func(ev core.TraceEvent) {
+		if !armed && ev.At >= r.Started {
+			c.Arm(r)
+			armed = true
 		}
-		out.QuerierLeft = true
-		return out
+		c.Observe(ev)
+	})
+	if !armed {
+		c.Arm(r)
 	}
-	out := Outcome{Terminated: true, Duration: ans.At - r.Started}
-	stable := stableBetween(r.Started, ans.At)
-	out.StableCount = len(stable)
-	out.Quarantined = tr.MarkedEntities(node.MarkAuthQuarantine)
-	quarantined := map[graph.NodeID]bool{}
-	for _, id := range out.Quarantined {
-		quarantined[id] = true
-	}
-	out.ProvenEquivocators = tr.ProvenEquivocators()
-	out.EpochSwitchers = tr.MarkedEntities(core.MarkEpochSwitch)
-	proven := map[graph.NodeID]bool{}
-	for _, id := range out.ProvenEquivocators {
-		proven[id] = true
-	}
-	everPresent := map[graph.NodeID]bool{}
-	for _, id := range tr.EverPresentBetween(r.Started, ans.At) {
-		everPresent[id] = true
-	}
-	reachable := tr.Temporal().ReachableFrom(r.Querier, r.Started, ans.At)
-	for _, id := range stable {
-		if _, ok := ans.Contributors[id]; ok {
-			out.CoveredStable++
-		} else {
-			out.MissedStable = append(out.MissedStable, id)
-			if reachable[id] {
-				out.MissedReachableStable = append(out.MissedReachableStable, id)
-			}
-			if quarantined[id] {
-				out.MissedQuarantined = append(out.MissedQuarantined, id)
-			}
-			if proven[id] {
-				out.MissedProven = append(out.MissedProven, id)
-			}
-		}
-	}
-	ids := make([]graph.NodeID, 0, len(ans.Contributors))
-	for id := range ans.Contributors {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !everPresent[id] {
-			out.Fabricated = append(out.Fabricated, id)
-		} else if valueOf != nil && ans.Contributors[id] != valueOf(id) {
-			out.WrongValue = append(out.WrongValue, id)
-		}
-	}
-	return out
+	return c.Finish(tr.End(), valueOf)
 }
 
 // contribution maps are the payloads relayed by the exact protocols.

@@ -8,15 +8,16 @@ import (
 	"repro/internal/node"
 )
 
-// This file implements the streaming OTQ checker: the batch CheckWith
-// judgment recomputed incrementally from the event stream, retaining
-// state proportional to live sessions and window participants instead of
-// to the recorded event count. The differential tests in this package and
-// in internal/exp pin its verdicts bit-for-bit against CheckWith; any
-// divergence is a bug here, not a new participation notion.
+// This file implements the package's One-Time Query validity judge,
+// computed incrementally from the event stream and retaining state
+// proportional to live sessions and window participants instead of to
+// the recorded event count. Live runs feed it as a trace sink; CheckWith
+// replays a stored log through it. The differential tests pin its
+// verdicts bit-for-bit against the set-based oracle in oracle_test.go;
+// any divergence is a bug here, not a new participation notion.
 
-// sessMode selects which batch session reconstruction a streamSessions
-// machine mirrors.
+// sessMode selects which of the trace's session reconstructions a
+// streamSessions machine mirrors.
 type sessMode int
 
 const (
@@ -41,7 +42,7 @@ type sessEvent struct {
 }
 
 // streamSessions replays one of the trace's session reconstructions
-// incrementally. It holds only open and suspended sessions — the batch
+// incrementally. It holds only open and suspended sessions — the trace
 // functions' loop state — never the emitted intervals.
 type streamSessions struct {
 	mode          sessMode
@@ -64,7 +65,7 @@ func newStreamSessions(mode sessMode) *streamSessions {
 }
 
 // observe advances the machine by one event and reports the transition it
-// caused. The branch structure tracks the batch reconstructions exactly,
+// caused. The branch structure tracks the trace's reconstructions exactly,
 // including their quirks: a join without an announced return DISCARDS a
 // suspended interval, and a leave while closed is ignored.
 func (s *streamSessions) observe(ev core.TraceEvent) sessEvent {
@@ -142,8 +143,8 @@ type StreamChecker struct {
 	plainTr  *streamSessions
 
 	// Live overlay graph plus the still-unapplied batch of topology
-	// events sharing the current timestamp. The batch checker applies all
-	// events of one tick before spreading reachability; buffering one
+	// events sharing the current timestamp. Temporal reachability applies
+	// all events of one tick before spreading; buffering one
 	// tick reproduces that, and lets Arm (which fires mid-tick) see the
 	// pre-tick graph for its initial spread.
 	g       *graph.Graph
@@ -178,8 +179,8 @@ type StreamChecker struct {
 
 	reached map[graph.NodeID]bool
 
-	// Run-wide mark sets (the batch checker collects them over the whole
-	// trace, not just the query window).
+	// Run-wide mark sets (collected over the whole trace, not just the
+	// query window).
 	quarantined map[graph.NodeID]bool
 	proven      map[graph.NodeID]bool
 	epoch       map[graph.NodeID]bool
@@ -226,9 +227,9 @@ func (c *StreamChecker) poll() {
 	}
 }
 
-// spread replicates the batch ReachableFrom propagation step: the querier
-// seeds the set while present, and information floods from every reached
-// node still present through the current graph.
+// spread replicates graph.Temporal.ReachableFrom's propagation step: the
+// querier seeds the set while present, and information floods from every
+// reached node still present through the current graph.
 func (c *StreamChecker) spread() {
 	if !c.reached[c.querier] && c.g.HasNode(c.querier) {
 		c.reached[c.querier] = true
@@ -317,7 +318,7 @@ func (c *StreamChecker) onStable(p graph.NodeID, se sessEvent) {
 			delete(c.candDown, p)
 		} else if c.cand[p] {
 			// The join discarded a suspended interval without an announced
-			// return; the batch reconstruction forgets that interval too.
+			// return; the trace's reconstruction forgets that interval too.
 			delete(c.cand, p)
 			delete(c.candDown, p)
 		}
@@ -400,7 +401,7 @@ func (c *StreamChecker) Arm(r *Run) {
 	c.run, c.querier, c.started = r, r.Querier, r.Started
 	if c.haveCur && c.curT < c.started {
 		// Pre-window topology still buffered: apply it without spreading,
-		// like the batch checker's pre-start replay.
+		// like temporal reachability's pre-start replay.
 		c.flush()
 	}
 	c.armed = true
@@ -419,8 +420,8 @@ func (c *StreamChecker) Arm(r *Run) {
 	c.spread()
 }
 
-// sortedIDs renders a set exactly like the batch checker's accumulating
-// loops: ascending, and nil — not empty — when the set is empty.
+// sortedIDs renders a set the way an accumulating loop would: ascending,
+// and nil — not empty — when the set is empty.
 func sortedIDs(set map[graph.NodeID]bool) []graph.NodeID {
 	if len(set) == 0 {
 		return nil
@@ -435,7 +436,8 @@ func sortedIDs(set map[graph.NodeID]bool) []graph.NodeID {
 
 // Finish settles the judgment. end must be the trace's end time
 // (Trace.End() after Close); valueOf must be the world's assignment.
-// The Outcome is bit-identical to CheckWith over the full trace.
+// The Outcome is the same whether the events arrived live or through
+// CheckWith's replay of the stored log.
 func (c *StreamChecker) Finish(end core.Time, valueOf func(graph.NodeID) float64) Outcome {
 	c.poll()
 	if c.run == nil {

@@ -1,6 +1,7 @@
 package otq
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,10 +11,12 @@ import (
 	"repro/internal/rng"
 )
 
-// The streaming checker's contract is bit-for-bit equality with the batch
-// checker. These tests replay scripted and randomized event streams
-// through both — and through a count-only twin of the trace, proving the
-// stream verdict never depended on retained events.
+// The streaming checker is the package's one validity judge, and its
+// contract is bit-for-bit equality with the set-based oracle
+// (OracleCheck). These tests replay scripted, randomized and fuzzed event
+// streams through the live checker, through CheckWith's replay of the
+// stored log, and through a count-only twin of the trace, proving the
+// verdict never depended on retained events.
 
 type scriptStep struct {
 	ev      *core.TraceEvent
@@ -32,9 +35,10 @@ type checkScript struct {
 
 func testValueOf(id graph.NodeID) float64 { return float64(id) * 3 }
 
-// runScript replays one script through the batch checker, the streaming
-// checker on the same full trace, and a streaming checker on a count-only
-// trace, and requires all three outcomes identical.
+// runScript replays one script through the oracle, the live streaming
+// checker, CheckWith's replay of the same full trace, and a live checker
+// on a count-only trace, and requires all four outcomes identical — and
+// the count-only trace's counters equal to the full trace's.
 func runScript(t *testing.T, name string, sc checkScript, opts CheckOptions) {
 	t.Helper()
 	tr := &core.Trace{}
@@ -65,15 +69,49 @@ func runScript(t *testing.T, name string, sc checkScript, opts CheckOptions) {
 	tr.Close(sc.horizon)
 	trLite.Close(sc.horizon)
 
-	want := CheckWith(tr, run, testValueOf, opts)
+	want := OracleCheck(tr, run, testValueOf, opts)
 	got := c.Finish(tr.End(), testValueOf)
 	if !reflect.DeepEqual(want, got) {
-		t.Errorf("%s (opts %+v): stream verdict diverged\nbatch:  %+v\nstream: %+v", name, opts, want, got)
+		t.Errorf("%s (opts %+v): stream verdict diverged\noracle: %+v\nstream: %+v", name, opts, want, got)
+	}
+	if replay := CheckWith(tr, run, testValueOf, opts); !reflect.DeepEqual(want, replay) {
+		t.Errorf("%s (opts %+v): replayed verdict diverged\noracle: %+v\nreplay: %+v", name, opts, want, replay)
 	}
 	gotLite := cLite.Finish(trLite.End(), testValueOf)
 	if !reflect.DeepEqual(want, gotLite) {
-		t.Errorf("%s (opts %+v): count-only stream verdict diverged\nbatch: %+v\nlite:  %+v", name, opts, want, gotLite)
+		t.Errorf("%s (opts %+v): count-only stream verdict diverged\noracle: %+v\nlite:   %+v", name, opts, want, gotLite)
 	}
+	if err := countersAgree(tr, trLite); err != "" {
+		t.Errorf("%s: %s", name, err)
+	}
+}
+
+// countersAgree compares every counter a count-only trace keeps against
+// its fully retained twin, returning a description of the first
+// mismatch.
+func countersAgree(full, lite *core.Trace) string {
+	if full.Len() != lite.Len() || full.End() != lite.End() || full.MaxConcurrency() != lite.MaxConcurrency() {
+		return fmt.Sprintf("counters diverged: full len/end/peak %d/%d/%d, count-only %d/%d/%d",
+			full.Len(), full.End(), full.MaxConcurrency(), lite.Len(), lite.End(), lite.MaxConcurrency())
+	}
+	for _, ev := range full.Events() {
+		switch ev.Kind {
+		case core.TSend, core.TDeliver, core.TDrop:
+			if full.Messages(ev.Tag) != lite.Messages(ev.Tag) {
+				return fmt.Sprintf("Messages(%q) diverged", ev.Tag)
+			}
+		case core.TMark:
+			fa, _ := full.FirstMark(ev.Tag)
+			la, ok := lite.FirstMark(ev.Tag)
+			if !ok || fa != la {
+				return fmt.Sprintf("FirstMark(%q) diverged", ev.Tag)
+			}
+		}
+	}
+	if full.Messages("") != lite.Messages("") {
+		return "Messages(\"\") diverged"
+	}
+	return ""
 }
 
 func ev(at core.Time, kind core.TraceEventKind, p graph.NodeID) *core.TraceEvent {
@@ -304,109 +342,122 @@ func TestStreamCheckerScriptedEdgeCases(t *testing.T) {
 	}
 }
 
-// Randomized differential: arbitrary monotone event streams with churn,
-// link flaps, lifecycle marks, mid-tick arms and resolutions. Any
-// divergence between the batch and streaming checkers fails.
-func TestStreamCheckerRandomDifferential(t *testing.T) {
+// scriptSource is what genScript draws its choices from: a seeded
+// generator for the randomized differential, fuzzer bytes for the fuzz
+// target.
+type scriptSource interface {
+	Intn(n int) int
+	Bool(p float64) bool
+}
+
+// genScript draws an arbitrary monotone event stream with churn, link
+// flaps, lifecycle marks, a mid-tick arm and a resolution, plus the
+// answer's contributors (some corrupted, possibly one never present).
+func genScript(r scriptSource) checkScript {
 	const entities = 6
-	for seed := uint64(1); seed <= 400; seed++ {
-		r := rng.New(seed)
-		started := core.Time(4 + r.Intn(4))
-		ansAt := started + core.Time(r.Intn(6))
-		horizon := ansAt + core.Time(r.Intn(5)) + 2
+	started := core.Time(4 + r.Intn(4))
+	ansAt := started + core.Time(r.Intn(6))
+	horizon := ansAt + core.Time(r.Intn(5)) + 2
 
-		var events []core.TraceEvent
-		tags := []string{
-			core.MarkCrash, core.MarkRecover, core.MarkRejoin,
-			node.MarkAuthQuarantine, core.MarkProvenEquivocator, core.MarkEpochSwitch,
-		}
-		for tick := core.Time(0); tick <= horizon; tick++ {
-			for i := 0; i < r.Intn(4); i++ {
-				p := graph.NodeID(1 + r.Intn(entities))
-				switch r.Intn(6) {
-				case 0:
-					events = append(events, core.TraceEvent{At: tick, Kind: core.TJoin, P: p})
-				case 1:
-					events = append(events, core.TraceEvent{At: tick, Kind: core.TLeave, P: p})
-				case 2, 3:
-					q := graph.NodeID(1 + r.Intn(entities))
-					if q == p {
-						continue
-					}
-					kind := core.TEdgeUp
-					if r.Bool(0.5) {
-						kind = core.TEdgeDown
-					}
-					events = append(events, core.TraceEvent{At: tick, Kind: kind, P: p, Q: q})
-				default:
-					events = append(events, core.TraceEvent{At: tick, Kind: core.TMark, P: p, Tag: tags[r.Intn(len(tags))]})
+	var events []core.TraceEvent
+	tags := []string{
+		core.MarkCrash, core.MarkRecover, core.MarkRejoin,
+		node.MarkAuthQuarantine, core.MarkProvenEquivocator, core.MarkEpochSwitch,
+	}
+	for tick := core.Time(0); tick <= horizon; tick++ {
+		for i := 0; i < r.Intn(4); i++ {
+			p := graph.NodeID(1 + r.Intn(entities))
+			switch r.Intn(6) {
+			case 0:
+				events = append(events, core.TraceEvent{At: tick, Kind: core.TJoin, P: p})
+			case 1:
+				events = append(events, core.TraceEvent{At: tick, Kind: core.TLeave, P: p})
+			case 2, 3:
+				q := graph.NodeID(1 + r.Intn(entities))
+				if q == p {
+					continue
 				}
-			}
-		}
-
-		// Place arm among the events of tick `started` (mid-tick, as in a
-		// live run), and the resolution anywhere at or after it while
-		// events are still <= ansAt.
-		tickEnd := 0
-		for tickEnd < len(events) && events[tickEnd].At <= started {
-			tickEnd++
-		}
-		tickStart := tickEnd
-		for tickStart > 0 && events[tickStart-1].At == started {
-			tickStart--
-		}
-		armPos := tickStart + r.Intn(tickEnd-tickStart+1)
-		resolvePos := -1
-		if r.Intn(10) < 8 {
-			lastOK := armPos
-			for i := armPos; i < len(events); i++ {
-				if events[i].At <= ansAt {
-					lastOK = i + 1
-				} else {
-					break
+				kind := core.TEdgeUp
+				if r.Bool(0.5) {
+					kind = core.TEdgeDown
 				}
+				events = append(events, core.TraceEvent{At: tick, Kind: kind, P: p, Q: q})
+			default:
+				events = append(events, core.TraceEvent{At: tick, Kind: core.TMark, P: p, Tag: tags[r.Intn(len(tags))]})
 			}
-			resolvePos = armPos + r.Intn(lastOK-armPos+1)
 		}
+	}
 
-		contribs := map[graph.NodeID]float64{}
-		for p := graph.NodeID(1); p <= entities; p++ {
-			if r.Bool(0.5) {
-				v := testValueOf(p)
-				if r.Intn(5) == 0 {
-					v++ // corrupted value
-				}
-				contribs[p] = v
+	// Place arm among the events of tick `started` (mid-tick, as in a
+	// live run), and the resolution anywhere at or after it while
+	// events are still <= ansAt.
+	tickEnd := 0
+	for tickEnd < len(events) && events[tickEnd].At <= started {
+		tickEnd++
+	}
+	tickStart := tickEnd
+	for tickStart > 0 && events[tickStart-1].At == started {
+		tickStart--
+	}
+	armPos := tickStart + r.Intn(tickEnd-tickStart+1)
+	resolvePos := -1
+	if r.Intn(10) < 8 {
+		lastOK := armPos
+		for i := armPos; i < len(events); i++ {
+			if events[i].At <= ansAt {
+				lastOK = i + 1
+			} else {
+				break
 			}
 		}
-		if r.Intn(3) == 0 {
-			contribs[99] = 7 // never-present contributor
-		}
+		resolvePos = armPos + r.Intn(lastOK-armPos+1)
+	}
 
-		sc := checkScript{
-			querier:  graph.NodeID(1 + r.Intn(entities)),
-			started:  started,
-			ansAt:    ansAt,
-			contribs: contribs,
-			horizon:  horizon,
-		}
-		for i, e := range events {
-			e := e
-			if i == armPos {
-				sc.steps = append(sc.steps, scriptStep{arm: true})
+	contribs := map[graph.NodeID]float64{}
+	for p := graph.NodeID(1); p <= entities; p++ {
+		if r.Bool(0.5) {
+			v := testValueOf(p)
+			if r.Intn(5) == 0 {
+				v++ // corrupted value
 			}
-			if i == resolvePos {
-				sc.steps = append(sc.steps, scriptStep{resolve: true})
-			}
-			sc.steps = append(sc.steps, scriptStep{ev: &e})
+			contribs[p] = v
 		}
-		if armPos == len(events) {
+	}
+	if r.Intn(3) == 0 {
+		contribs[99] = 7 // never-present contributor
+	}
+
+	sc := checkScript{
+		querier:  graph.NodeID(1 + r.Intn(entities)),
+		started:  started,
+		ansAt:    ansAt,
+		contribs: contribs,
+		horizon:  horizon,
+	}
+	for i, e := range events {
+		e := e
+		if i == armPos {
 			sc.steps = append(sc.steps, scriptStep{arm: true})
 		}
-		if resolvePos == len(events) {
+		if i == resolvePos {
 			sc.steps = append(sc.steps, scriptStep{resolve: true})
 		}
+		sc.steps = append(sc.steps, scriptStep{ev: &e})
+	}
+	if armPos == len(events) {
+		sc.steps = append(sc.steps, scriptStep{arm: true})
+	}
+	if resolvePos == len(events) {
+		sc.steps = append(sc.steps, scriptStep{resolve: true})
+	}
+	return sc
+}
 
+// Randomized differential: any divergence between the oracle and the
+// streaming judge, live or replayed, fails.
+func TestStreamCheckerRandomDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 400; seed++ {
+		sc := genScript(rng.New(seed))
 		for _, opts := range allModes() {
 			runScript(t, "random", sc, opts)
 		}
@@ -414,4 +465,44 @@ func TestStreamCheckerRandomDifferential(t *testing.T) {
 			t.Fatalf("seed %d diverged", seed)
 		}
 	}
+}
+
+// byteSource feeds genScript from fuzzer input; an exhausted input reads
+// as zeros, so every byte string decodes to some script.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) next() byte {
+	if len(s.b) == 0 {
+		return 0
+	}
+	v := s.b[0]
+	s.b = s.b[1:]
+	return v
+}
+
+func (s *byteSource) Intn(n int) int      { return int(s.next()) % n }
+func (s *byteSource) Bool(p float64) bool { return float64(s.next()) < p*256 }
+
+// FuzzOTQDifferential decodes arbitrary bytes into a script — entities'
+// churn and links, lifecycle marks, arm and resolve positions,
+// contributors — and requires, in all three bridging modes, that the
+// live stream, CheckWith's replay and the oracle agree, and that the
+// count-only trace's counters equal the full trace's.
+func FuzzOTQDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 2, 1, 2, 0, 1, 1, 0, 2, 3, 2, 5, 1, 3, 4, 0, 2, 2, 1, 9, 7, 200, 100, 50})
+	r := rng.New(29)
+	for i := 0; i < 4; i++ {
+		seed := make([]byte, 64)
+		for j := range seed {
+			seed[j] = byte(r.Intn(256))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := genScript(&byteSource{b: data})
+		for _, opts := range allModes() {
+			runScript(t, "fuzz", sc, opts)
+		}
+	})
 }

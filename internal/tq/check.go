@@ -27,6 +27,11 @@ type Report struct {
 	// quorum-certified one — regularity violations. Fabricated counts
 	// reads returning a tag never written.
 	Stale, Fabricated int
+	// Silent counts the Stale and Fabricated reads flagged FlagOK: wrong
+	// answers the caller cannot tell from right ones. A wrong read
+	// flagged expired or soft is an honest degradation — timed quorums
+	// promise intersection only while a lease is live — not a silent one.
+	Silent int
 	// MaxLag is the largest (lastCompletedTag - readTag) observed.
 	MaxLag uint64
 	// Retries counts attempt relaunches recorded in the trace.
@@ -173,6 +178,7 @@ func (sc *StreamChecker) Observe(ev core.TraceEvent) {
 		case FlagSoft:
 			sc.rep.Soft++
 		}
+		wrong := true
 		switch {
 		case tag > sc.maxStarted:
 			sc.rep.Fabricated++
@@ -181,6 +187,11 @@ func (sc *StreamChecker) Observe(ev core.TraceEvent) {
 			if lag := or.snap - tag; lag > sc.rep.MaxLag {
 				sc.rep.MaxLag = lag
 			}
+		default:
+			wrong = false
+		}
+		if wrong && parts[4] == FlagOK {
+			sc.rep.Silent++
 		}
 		sc.rep.readLatSum += int64(ev.At - or.at)
 		sc.rep.readLatN++
@@ -209,9 +220,7 @@ func (sc *StreamChecker) Finish() Report {
 // construction (and differentially tested live-sink vs post-hoc).
 func Check(tr *core.Trace) Report {
 	sc := NewStreamChecker()
-	for _, ev := range tr.Events() {
-		sc.Observe(ev)
-	}
+	tr.Replay(sc.Observe)
 	return sc.Finish()
 }
 
