@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-record bench-check verify-bench experiments quick-experiments fuzz fmt clean verify
+.PHONY: all build vet test race bench bench-record bench-check verify-bench experiments quick-experiments fuzz loc fmt clean verify
 
 all: build vet test
 
@@ -78,6 +78,14 @@ fuzz:
 	$(GO) test -fuzz=FuzzPoisonClause -fuzztime=10s ./internal/fault/
 	$(GO) test -fuzz=FuzzTQWire -fuzztime=10s ./internal/tq/
 	$(GO) test -fuzz=FuzzOTQDifferential -fuzztime=10s ./internal/otq/
+	$(GO) test -run='^FuzzWorld$$' -fuzz=FuzzWorld -fuzztime=10s ./internal/exp/
+
+# Non-test Go line counts per package (GoFiles only), then the total: the
+# net non-test line count a change reports is the difference of two runs.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+		while read -r pkg files; do printf '%7d %s\n' "$$(cat /dev/null $$files | wc -l)" "$$pkg"; done | \
+		awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 fmt:
 	gofmt -w .

@@ -418,11 +418,11 @@ func main() {
 	if *liteTrace {
 		fmt.Println("inferred class: n/a (count-only retention keeps no events to classify)")
 	} else {
-		fmt.Printf("inferred class: %s\n", res.Inferred)
-
-		verdict, reason := core.OTQSolvability(res.Inferred)
+		inferred := core.InferClass(res.Trace)
+		verdict, reason := core.OTQSolvability(inferred)
+		pred := core.PredictOTQ(protoID, inferred)
+		fmt.Printf("inferred class: %s\n", inferred)
 		fmt.Printf("oracle on the inferred class: %s (%s)\n", verdict, reason)
-		pred := core.PredictOTQ(protoID, res.Inferred)
 		fmt.Printf("oracle on %s here: terminates=%v valid=%v (%s)\n", protoID, pred.Terminates, pred.Valid, pred.Note)
 	}
 
@@ -467,7 +467,7 @@ func protocolBuilder(name string, ttl int) (func() otq.Protocol, core.ProtocolID
 	switch name {
 	case "none":
 		// Protocol-less world: membership and throughput only, no query,
-		// no judgment (the Outcome/Run/Inferred result fields stay zero).
+		// no judgment (the Outcome/Run result fields stay zero).
 		return nil, "", nil
 	case "flood-ttl":
 		return func() otq.Protocol { return &otq.FloodTTL{TTL: ttl, MaxLatency: 2} }, core.ProtoFloodTTL, nil

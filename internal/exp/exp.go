@@ -38,8 +38,8 @@ type Scenario struct {
 	// Protocol builds the (single-use) query protocol for this run. The
 	// query is judged by an otq.StreamChecker riding the live event
 	// stream, so judged runs compose with LiteTrace. Nil runs the world
-	// with no query and no OTQ judgment (the Outcome, Run and Inferred
-	// fields stay zero).
+	// with no query and no OTQ judgment (the Outcome and Run fields stay
+	// zero).
 	Protocol func() otq.Protocol
 	// Factory, for protocol-less scenarios, runs this behavior on every
 	// entity instead of Nop — register families (internal/tq,
@@ -49,7 +49,7 @@ type Scenario struct {
 	// LiteTrace switches the trace to count-only retention (see
 	// core.Trace.SetCountOnly): message and concurrency counters stay
 	// exact but individual events are discarded, keeping 100k-entity
-	// runs in memory. Inferred stays zero (class inference reads events).
+	// runs in memory.
 	LiteTrace bool
 	// Latency bounds per-hop delay; zero means [1, 1].
 	MinLatency, MaxLatency sim.Time
@@ -99,7 +99,6 @@ type RunResult struct {
 	Outcome  otq.Outcome
 	Trace    *core.Trace
 	Run      *otq.Run
-	Inferred core.Class
 	Messages core.MessageStats
 	// Reliable sums the ack/retransmit sublayer's counters (zero when the
 	// sublayer was not enabled).
@@ -220,9 +219,6 @@ func Execute(sc Scenario) RunResult {
 	}
 	if proto != nil {
 		res.Outcome = checker.Finish(w.Trace.End(), valueOf)
-		if !sc.LiteTrace {
-			res.Inferred = core.InferClass(w.Trace)
-		}
 	}
 	return res
 }

@@ -371,30 +371,30 @@ func SignReceipt(sigSeed uint64, sender graph.NodeID, bseq, fp uint64) Receipt {
 	return Receipt{Sender: sender, BSeq: bseq, FP: fp, Sig: sigOver(sigSeed, sender, bseq, fp)}
 }
 
-// AuditCounters are one entity's audit-sublayer statistics.
+// AuditCounters are the world's audit-sublayer totals.
 type AuditCounters struct {
-	// ReceiptsSent counts receipt-gossip messages this entity sent.
+	// ReceiptsSent counts receipt-gossip messages sent.
 	ReceiptsSent int
 	// ReceiptsCarried counts individual receipts inside those messages.
 	ReceiptsCarried int
-	// ProofsForwarded counts proof-pair messages this entity sent.
+	// ProofsForwarded counts proof-pair messages sent.
 	ProofsForwarded int
-	// ProofsHeld counts distinct offenders this entity holds proof against.
+	// ProofsHeld counts distinct (holder, offender) proofs ever held.
 	ProofsHeld int
 	// BadSig counts receipts or stamped copies whose signature failed.
 	BadSig int
 	// HeldDropped counts held deliveries discarded because the sender was
 	// proven (or quarantined) during the hold window.
 	HeldDropped int
-	// PullsSent counts pull requests this entity originated.
+	// PullsSent counts pull requests originated.
 	PullsSent int
-	// PullsRelayed counts pull requests this entity forwarded onward.
+	// PullsRelayed counts pull requests forwarded onward.
 	PullsRelayed int
-	// PullReplies counts pull responses this entity answered with.
+	// PullReplies counts pull responses answered with.
 	PullReplies int
-	// Pinned counts receipts this entity pinned as known-divergent.
+	// Pinned counts receipts pinned as known-divergent.
 	Pinned int
-	// Evicted counts receipts this entity evicted under the Retain cap.
+	// Evicted counts receipts evicted under the Retain cap.
 	Evicted int
 }
 
@@ -434,6 +434,7 @@ type rkey struct {
 }
 
 type auditLayer struct {
+	noHooks
 	cfg AuditConfig
 	// bseqNext and bseqOf are sender-side: the per-sender broadcast
 	// counter and the bseq memo per (tag, honest fingerprint). The counter
@@ -479,10 +480,10 @@ type auditLayer struct {
 	truthFP     map[rkey]map[uint64]bool
 	truthSingle []rkey
 	provenB     map[rkey]bool
-	stats       map[graph.NodeID]*AuditCounters
+	stats       *AuditCounters
 }
 
-func newAuditLayer(cfg AuditConfig) *auditLayer {
+func newAuditLayer(cfg AuditConfig, stats *AuditCounters) *auditLayer {
 	return &auditLayer{
 		cfg:        cfg,
 		bseqNext:   make(map[graph.NodeID]uint64),
@@ -500,17 +501,8 @@ func newAuditLayer(cfg AuditConfig) *auditLayer {
 		everProven: make(map[[2]graph.NodeID]bool),
 		truthFP:    make(map[rkey]map[uint64]bool),
 		provenB:    make(map[rkey]bool),
-		stats:      make(map[graph.NodeID]*AuditCounters),
+		stats:      stats,
 	}
-}
-
-func (au *auditLayer) counters(id graph.NodeID) *AuditCounters {
-	c := au.stats[id]
-	if c == nil {
-		c = &AuditCounters{}
-		au.stats[id] = c
-	}
-	return c
 }
 
 // stamps reports whether outgoing messages with this tag get a broadcast
@@ -558,7 +550,7 @@ func (au *auditLayer) observe(w *World, m Message) {
 	fp := fingerprint(m.Payload)
 	r := Receipt{Sender: m.From, BSeq: m.bseq, FP: fp, Sig: m.sig}
 	if !VerifyReceipt(au.cfg.SigSeed, r) {
-		au.counters(m.To).BadSig++
+		au.stats.BadSig++
 		return
 	}
 	k := rkey{sender: m.From, bseq: m.bseq}
@@ -648,21 +640,17 @@ func (au *auditLayer) pin(at graph.NodeID, k rkey) {
 	}
 	pins[k] = true
 	au.pinOrder[at] = append(au.pinOrder[at], k)
-	au.counters(at).Pinned++
+	au.stats.Pinned++
 }
 
-// enforceRetain holds the store to the exact Retain cap. Under
-// reconfiguration both the cap and the eviction policy are those of the
-// observer's CURRENT epoch — an epoch switch that tightens Retain calls
-// this to shrink the store immediately, under the new policy.
+// enforceRetain holds the store to the exact Retain cap. Both the cap and
+// the eviction policy are those of the observer's CURRENT stack epoch —
+// an epoch switch that tightens Retain calls this to shrink the store
+// immediately, under the new policy.
 func (au *auditLayer) enforceRetain(w *World, at graph.NodeID) {
-	retain, retention := au.cfg.Retain, au.cfg.Retention
-	if w.reconfig != nil {
-		st := w.reconfig.stackOf(at)
-		retain, retention = st.Retain, st.Retention
-	}
-	for len(au.order[at]) > retain {
-		au.evictOne(at, retention)
+	st := w.StackOf(at)
+	for len(au.order[at]) > st.Retain {
+		au.evictOne(at, st.Retention)
 	}
 }
 
@@ -732,7 +720,7 @@ func (au *auditLayer) evictOne(at graph.NodeID, retention string) {
 			}
 		}
 	}
-	au.counters(at).Evicted++
+	au.stats.Evicted++
 }
 
 // prove convicts: `by` now holds two of offender's signatures on
@@ -758,7 +746,7 @@ func (au *auditLayer) prove(w *World, by, offender graph.NodeID, a, b Receipt) {
 	au.proofs[pair] = [2]Receipt{a, b}
 	if !au.everProven[pair] {
 		au.everProven[pair] = true
-		au.counters(by).ProofsHeld++
+		au.stats.ProofsHeld++
 	}
 	now := int64(w.Engine.Now())
 	w.Trace.Mark(now, offender, core.MarkProvenEquivocator)
@@ -773,7 +761,7 @@ func (au *auditLayer) prove(w *World, by, offender graph.NodeID, a, b Receipt) {
 			continue
 		}
 		p.Send(u, AuditProofTag, proof)
-		au.counters(by).ProofsForwarded++
+		au.stats.ProofsForwarded++
 	}
 }
 
@@ -823,14 +811,8 @@ func (au *auditLayer) pullTargets(p *Proc, round uint64, excluded func(graph.Nod
 	if len(cand) == 0 {
 		return nil
 	}
-	fanout := au.cfg.PullFanout
-	if w := p.world; w.reconfig != nil {
-		fanout = w.reconfig.stackOf(p.ID).PullFanout
-	}
-	f := fanout
-	if f > len(cand) {
-		f = len(cand)
-	}
+	fanout := p.world.StackOf(p.ID).PullFanout
+	f := min(fanout, len(cand))
 	start := int(round*uint64(fanout)) % len(cand)
 	out := make([]graph.NodeID, 0, f)
 	for i := 0; i < f; i++ {
@@ -851,10 +833,9 @@ func (au *auditLayer) pullTick(p *Proc) {
 			Path:   []graph.NodeID{p.ID},
 			Digest: d,
 		}
-		c := au.counters(p.ID)
 		for _, u := range au.pullTargets(p, round, func(id graph.NodeID) bool { return id == p.ID }) {
 			p.Send(u, AuditPullTag, req)
-			c.PullsSent++
+			au.stats.PullsSent++
 		}
 	}
 	p.After(au.cfg.PullInterval, func() { au.pullTick(p) })
@@ -872,7 +853,7 @@ func (au *auditLayer) onPull(w *World, m Message, req PullRequest) {
 	if len(req.Path) == 0 || req.Path[0] != req.Origin ||
 		req.Path[len(req.Path)-1] != m.From || containsID(req.Path, at) ||
 		req.TTL < 0 || req.TTL > maxPullTTL || len(req.Digest) > au.cfg.PullBudget {
-		au.counters(at).BadSig++
+		au.stats.BadSig++
 		return
 	}
 	st := au.receipts[at]
@@ -888,10 +869,9 @@ func (au *auditLayer) onPull(w *World, m Message, req PullRequest) {
 	if p == nil || !p.alive {
 		return
 	}
-	c := au.counters(at)
 	if len(div) > 0 {
 		p.Send(m.From, AuditPullRespTag, PullResponse{Path: req.Path, Receipts: div})
-		c.PullReplies++
+		au.stats.PullReplies++
 	}
 	if req.TTL > 0 {
 		fwd := PullRequest{
@@ -904,7 +884,7 @@ func (au *auditLayer) onPull(w *World, m Message, req PullRequest) {
 			return id == at || containsID(fwd.Path, id)
 		}) {
 			p.Send(u, AuditPullTag, fwd)
-			c.PullsRelayed++
+			au.stats.PullsRelayed++
 		}
 	}
 }
@@ -915,12 +895,12 @@ func (au *auditLayer) onPull(w *World, m Message, req PullRequest) {
 func (au *auditLayer) onPullResp(w *World, m Message, resp PullResponse) {
 	at := m.To
 	if len(resp.Path) == 0 || resp.Path[len(resp.Path)-1] != at {
-		au.counters(at).BadSig++
+		au.stats.BadSig++
 		return
 	}
 	for _, r := range resp.Receipts {
 		if !VerifyReceipt(au.cfg.SigSeed, r) {
-			au.counters(at).BadSig++
+			au.stats.BadSig++
 			continue
 		}
 		au.record(w, at, r, false)
@@ -959,7 +939,7 @@ func (au *auditLayer) onAudit(w *World, m Message) {
 	case []Receipt:
 		for _, r := range pl {
 			if !VerifyReceipt(au.cfg.SigSeed, r) {
-				au.counters(m.To).BadSig++
+				au.stats.BadSig++
 				continue
 			}
 			au.record(w, m.To, r, false)
@@ -967,11 +947,11 @@ func (au *auditLayer) onAudit(w *World, m Message) {
 	case [2]Receipt:
 		a, b := pl[0], pl[1]
 		if a.Sender != b.Sender || a.BSeq != b.BSeq || a.FP == b.FP {
-			au.counters(m.To).BadSig++
+			au.stats.BadSig++
 			return
 		}
 		if !VerifyReceipt(au.cfg.SigSeed, a) || !VerifyReceipt(au.cfg.SigSeed, b) {
-			au.counters(m.To).BadSig++
+			au.stats.BadSig++
 			return
 		}
 		au.prove(w, m.To, a.Sender, a, b)
@@ -1004,7 +984,7 @@ func fireHeldDelivery(arg any) {
 	}
 	pair := [2]graph.NodeID{m.To, m.From}
 	if au.proven[pair] || (w.auth != nil && w.auth.quarantined[pair]) {
-		au.counters(m.To).HeldDropped++
+		au.stats.HeldDropped++
 		w.Trace.Mark(now, m.To, MarkAuditHeldDrop)
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return
@@ -1016,7 +996,7 @@ func fireHeldDelivery(arg any) {
 // start schedules an entity's receipt-gossip and pull loops, offset by
 // identity so rounds desynchronize. The timers die with the entity
 // (Proc.After).
-func (au *auditLayer) start(p *Proc) {
+func (au *auditLayer) start(_ *World, p *Proc) {
 	if au.cfg.GossipInterval > 0 {
 		offset := 1 + sim.Time(uint64(p.ID)%uint64(au.cfg.GossipInterval))
 		p.After(offset, func() { au.gossipTick(p) })
@@ -1046,26 +1026,41 @@ func (au *auditLayer) flush(p *Proc) {
 	batch := make([]Receipt, n)
 	copy(batch, q[:n])
 	au.pending[p.ID] = q[n:]
-	c := au.counters(p.ID)
 	for _, u := range p.Neighbors() {
 		p.Send(u, AuditReceiptTag, batch)
-		c.ReceiptsSent++
-		c.ReceiptsCarried += n
+		au.stats.ReceiptsSent++
+		au.stats.ReceiptsCarried += n
 	}
 }
 
-// dropSenderBSeq forgets an entity's sender-side audit state: the
+// saveIdentity records the entity's broadcast counter; restoreIdentity
+// resumes it.
+func (au *auditLayer) saveIdentity(id graph.NodeID, rec *IdentityRecord) {
+	rec.BSeqNext = au.bseqNext[id]
+}
+
+func (au *auditLayer) restoreIdentity(_ *World, id graph.NodeID, rec IdentityRecord) {
+	if rec.BSeqNext > 0 {
+		au.bseqNext[id] = rec.BSeqNext
+	}
+}
+
+// dropIdentity forgets an entity's sender-side audit state: the
 // broadcast counter and the bseq memo of its logical broadcasts. A
 // session-keyed departure loses them outright (the next session numbers
-// from 1 in a world that also forgot the old receipts); a durable-
-// identity departure or crash persists the counter in the identity
-// record first, so the rejoiner resumes its sequence space.
-func (au *auditLayer) dropSenderBSeq(id graph.NodeID) {
+// from 1 in a world that also forgot the old receipts) together with the
+// session's own receiver-side memory (purgeObserver); a durable-identity
+// departure or crash persists the counter in the identity record first,
+// so the rejoiner resumes its sequence space.
+func (au *auditLayer) dropIdentity(id graph.NodeID, session bool) {
 	delete(au.bseqNext, id)
 	for k := range au.bseqOf {
 		if k.from == id {
 			delete(au.bseqOf, k)
 		}
+	}
+	if session {
+		au.purgeObserver(id)
 	}
 }
 
@@ -1090,15 +1085,15 @@ func (au *auditLayer) purgeObserver(id graph.NodeID) {
 	}
 }
 
-// purgeAbout wipes every observer's audit state ABOUT one identity: the
+// resetAbout wipes every observer's audit state ABOUT one identity: the
 // stored and pending receipts naming it as sender, its pins, and the
 // standing convictions against it. This is the session-keyed rejoin's
 // forgetting — a fresh principal arrives with no record — and the
-// returned count of erased convictions is the laundering measurement.
+// erased convictions are the laundering measurement.
 // everProven survives as accounting, and the world-held ground truth
 // (truthFP/provenB) is untouched: the old session's equivocations really
 // happened.
-func (au *auditLayer) purgeAbout(id graph.NodeID) int {
+func (au *auditLayer) resetAbout(id graph.NodeID, c *IdentityCounters) {
 	for at, st := range au.receipts {
 		kept := au.order[at][:0]
 		for _, k := range au.order[at] {
@@ -1131,15 +1126,13 @@ func (au *auditLayer) purgeAbout(id graph.NodeID) int {
 		}
 		au.pinOrder[at] = kept
 	}
-	wiped := 0
 	for pair := range au.proven {
 		if pair[1] == id {
 			delete(au.proven, pair)
 			delete(au.proofs, pair)
-			wiped++
+			c.ConvictionsLaundered++
 		}
 	}
-	return wiped
 }
 
 // pardon clears the audit conviction behind a paroled link, including the
@@ -1183,41 +1176,9 @@ func (au *auditLayer) pardon(by, offender graph.NodeID) {
 	}
 }
 
-// AuditStats returns a copy of the per-entity audit counters, or nil when
-// the sublayer is disabled.
-func (w *World) AuditStats() map[graph.NodeID]AuditCounters {
-	if w.audit == nil {
-		return nil
-	}
-	out := make(map[graph.NodeID]AuditCounters, len(w.audit.stats))
-	for id, c := range w.audit.stats {
-		out[id] = *c
-	}
-	return out
-}
-
-// AuditTotals sums the audit sublayer's counters over every entity (the
-// zero value when the sublayer is disabled).
-func (w *World) AuditTotals() AuditCounters {
-	var total AuditCounters
-	if w.audit == nil {
-		return total
-	}
-	for _, c := range w.audit.stats {
-		total.ReceiptsSent += c.ReceiptsSent
-		total.ReceiptsCarried += c.ReceiptsCarried
-		total.ProofsForwarded += c.ProofsForwarded
-		total.ProofsHeld += c.ProofsHeld
-		total.BadSig += c.BadSig
-		total.HeldDropped += c.HeldDropped
-		total.PullsSent += c.PullsSent
-		total.PullsRelayed += c.PullsRelayed
-		total.PullReplies += c.PullReplies
-		total.Pinned += c.Pinned
-		total.Evicted += c.Evicted
-	}
-	return total
-}
+// AuditTotals returns the audit sublayer's counters (the zero value when
+// the sublayer is disabled).
+func (w *World) AuditTotals() AuditCounters { return w.auditStats }
 
 // AuditSummary reports the run's equivocation ground truth against what
 // the gossip proved (the zero value when the sublayer is disabled).

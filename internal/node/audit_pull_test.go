@@ -228,7 +228,7 @@ func TestAuditRetainExactCap(t *testing.T) {
 				t.Fatalf("%s: order and store diverge: %d vs %d", retention, len(au.order[2]), got)
 			}
 		}
-		if ev := au.counters(2).Evicted; ev != 1 {
+		if ev := w.AuditTotals().Evicted; ev != 1 {
 			t.Fatalf("%s: evicted %d, want exactly 1 past the cap", retention, ev)
 		}
 		w.Close()

@@ -108,7 +108,7 @@ func (ac AuthConfig) Validate() error {
 	return nil
 }
 
-// AuthCounters are one entity's receiver-side authentication statistics.
+// AuthCounters are the world's receiver-side authentication totals.
 type AuthCounters struct {
 	// Accepted counts copies that passed both checks.
 	Accepted int
@@ -116,10 +116,10 @@ type AuthCounters struct {
 	RejectedCorrupt int
 	// RejectedReplay counts copies with a stale sequence number.
 	RejectedReplay int
-	// Quarantines counts neighbor links this entity quarantined.
+	// Quarantines counts neighbor links quarantined.
 	Quarantines int
 	// DroppedQuarantined counts copies dropped because their claimed
-	// sender was already quarantined here.
+	// sender was already quarantined by the receiver.
 	DroppedQuarantined int
 }
 
@@ -179,6 +179,7 @@ type pairKeyID struct {
 }
 
 type authLayer struct {
+	noHooks
 	cfg AuthConfig
 	// nextSeq is the sender-side per-directed-pair sequence counter. It
 	// is deliberately NOT per key epoch: the aseq space survives key
@@ -200,12 +201,12 @@ type authLayer struct {
 	// a crash or departure and possibly restored since — is a no-op, and
 	// recovery re-arms the REMAINING time instead of restarting the clock.
 	paroleAt map[[2]graph.NodeID]int64
-	stats    map[graph.NodeID]*AuthCounters
+	stats    *AuthCounters
 	events   []QuarantineEvent
 	paroles  []QuarantineEvent
 }
 
-func newAuthLayer(cfg AuthConfig) *authLayer {
+func newAuthLayer(cfg AuthConfig, stats *AuthCounters) *authLayer {
 	return &authLayer{
 		cfg:         cfg,
 		nextSeq:     make(map[[2]graph.NodeID]uint64),
@@ -215,17 +216,8 @@ func newAuthLayer(cfg AuthConfig) *authLayer {
 		quarantined: make(map[[2]graph.NodeID]bool),
 		budgets:     make(map[[2]graph.NodeID]int),
 		paroleAt:    make(map[[2]graph.NodeID]int64),
-		stats:       make(map[graph.NodeID]*AuthCounters),
+		stats:       stats,
 	}
-}
-
-func (al *authLayer) counters(id graph.NodeID) *AuthCounters {
-	c := al.stats[id]
-	if c == nil {
-		c = &AuthCounters{}
-		al.stats[id] = c
-	}
-	return c
 }
 
 // pairKey derives the shared key of the directed pair (from, to) at key
@@ -263,12 +255,14 @@ func fingerprint(payload any) uint64 {
 }
 
 // macFor computes the HMAC-style authenticator of one message under the
-// key of key epoch ke. The audit sublayer's broadcast sequence number and
-// signature are folded in when present (both zero without the audit
-// sublayer, which leaves the tag unchanged), so a channel adversary
-// cannot rewrite them in flight without mangling the authenticator. The
-// stack epoch is folded the same way (an identity at 0, reconfig off):
-// migrating a copy between epochs mangles the tag too.
+// key of key epoch ke — the KeyEpoch of the stack epoch the message was
+// stamped with (0, the genesis generation, without reconfiguration). The
+// audit sublayer's broadcast sequence number and signature are folded in
+// when present (both zero without the audit sublayer, which leaves the
+// tag unchanged), so a channel adversary cannot rewrite them in flight
+// without mangling the authenticator. The stack epoch is folded the same
+// way (an identity at 0, reconfig off): migrating a copy between epochs
+// mangles the tag too.
 func (al *authLayer) macFor(ke uint64, from, to graph.NodeID, aseq uint64, tag string, bseq, sig, epoch uint64, payload any) uint64 {
 	k := al.pairKey(from, to, ke)
 	h := k ^ aseq*0xd6e8feb86659fd93
@@ -290,18 +284,17 @@ func (al *authLayer) tag(w *World, m *Message) {
 	pair := [2]graph.NodeID{m.From, m.To}
 	al.nextSeq[pair]++
 	m.aseq = al.nextSeq[pair]
-	m.mac = al.macFor(w.keyEpochFor(m.epoch), m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload)
+	m.mac = al.macFor(w.stackFor(m.epoch).KeyEpoch, m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload)
 }
 
-// identitySnapshot extracts the identity-keyed auth state of one entity —
+// saveIdentity extracts the identity-keyed auth state of one entity —
 // its per-pair send counters (the volatile sender side a crash would lose
 // unless persisted) plus its own receiver-side security ledger: the
 // anti-replay windows it keeps about peers, the strikes and halved
 // budgets it charges them, and the quarantines it imposed with their
-// absolute parole deadlines. The returned record is detached from the
+// absolute parole deadlines. The filled record is detached from the
 // layer.
-func (al *authLayer) identitySnapshot(id graph.NodeID) IdentityRecord {
-	var rec IdentityRecord
+func (al *authLayer) saveIdentity(id graph.NodeID, rec *IdentityRecord) {
 	for pair, seq := range al.nextSeq {
 		if pair[0] != id {
 			continue
@@ -347,15 +340,15 @@ func (al *authLayer) identitySnapshot(id graph.NodeID) IdentityRecord {
 		}
 		rec.Quarantined[pair[1]] = al.paroleAt[pair]
 	}
-	return rec
 }
 
 // dropIdentity forgets an entity's in-memory auth state, sender and
 // receiver side — what a crash or departure does to state that was only
 // in memory. Clearing paroleAt also retires any pending parole timers for
 // the entity's quarantines: they check the deadline on firing and find it
-// gone (or replaced by a restore, which re-arms its own).
-func (al *authLayer) dropIdentity(id graph.NodeID) {
+// gone (or replaced by a restore, which re-arms its own). A session-keyed
+// departure drops exactly the same state.
+func (al *authLayer) dropIdentity(id graph.NodeID, _ bool) {
 	for pair := range al.nextSeq {
 		if pair[0] == id {
 			delete(al.nextSeq, pair)
@@ -419,12 +412,13 @@ func (al *authLayer) restoreIdentity(w *World, id graph.NodeID, rec IdentityReco
 	}
 }
 
-// purgeAbout wipes every OTHER entity's receiver-side auth state about
+// resetAbout wipes every OTHER entity's receiver-side auth state about
 // one identity — windows, strikes, budgets, quarantines. This is what a
 // session-keyed rejoin does (the new session is a fresh principal, so
-// peers re-establish everything from scratch), and the returned count of
-// standing quarantines it erased is the laundering measurement.
-func (al *authLayer) purgeAbout(id graph.NodeID) int {
+// peers re-establish everything from scratch). The pair keys are this
+// layer's, so it counts the session reset; the standing quarantines it
+// erased are the laundering measurement.
+func (al *authLayer) resetAbout(id graph.NodeID, c *IdentityCounters) {
 	for pair := range al.windows {
 		if pair[1] == id {
 			delete(al.windows, pair)
@@ -440,15 +434,14 @@ func (al *authLayer) purgeAbout(id graph.NodeID) int {
 			delete(al.budgets, pair)
 		}
 	}
-	wiped := 0
 	for pair := range al.quarantined {
 		if pair[1] == id {
 			delete(al.quarantined, pair)
 			delete(al.paroleAt, pair)
-			wiped++
+			c.QuarantinesLaundered++
 		}
 	}
-	return wiped
+	c.SessionResets++
 }
 
 // admit is the receiver's first gate: quarantine filter, then
@@ -458,12 +451,12 @@ func (al *authLayer) admit(w *World, m Message) bool {
 	now := int64(w.Engine.Now())
 	pair := [2]graph.NodeID{m.To, m.From}
 	if al.quarantined[pair] {
-		al.counters(m.To).DroppedQuarantined++
+		al.stats.DroppedQuarantined++
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		return false
 	}
-	if m.aseq == 0 || m.mac != al.macFor(w.keyEpochFor(m.epoch), m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload) {
-		al.counters(m.To).RejectedCorrupt++
+	if m.aseq == 0 || m.mac != al.macFor(w.stackFor(m.epoch).KeyEpoch, m.From, m.To, m.aseq, m.Tag, m.bseq, m.sig, m.epoch, m.Payload) {
+		al.stats.RejectedCorrupt++
 		w.Trace.Mark(now, m.To, MarkAuthRejectCorrupt)
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		al.strike(w, m.To, m.From)
@@ -485,13 +478,13 @@ func (al *authLayer) admitSeq(w *World, m Message) bool {
 		al.windows[pair] = rw
 	}
 	if !rw.accept(m.aseq, al.cfg.ReplayWindow) {
-		al.counters(m.To).RejectedReplay++
+		al.stats.RejectedReplay++
 		w.Trace.Mark(now, m.To, MarkAuthRejectReplay)
 		w.Trace.Drop(now, m.From, m.To, m.Tag)
 		al.strike(w, m.To, m.From)
 		return false
 	}
-	al.counters(m.To).Accepted++
+	al.stats.Accepted++
 	return true
 }
 
@@ -526,7 +519,7 @@ func (al *authLayer) quarantine(w *World, by, offender graph.NodeID) {
 	}
 	al.quarantined[pair] = true
 	now := int64(w.Engine.Now())
-	al.counters(by).Quarantines++
+	al.stats.Quarantines++
 	w.Trace.Mark(now, offender, MarkAuthQuarantine)
 	al.events = append(al.events, QuarantineEvent{At: now, By: by, Offender: offender})
 	if w.pex != nil {
@@ -580,35 +573,9 @@ func (al *authLayer) parole(w *World, by, offender graph.NodeID) {
 	}
 }
 
-// AuthStats returns a copy of the per-entity receiver-side counters of the
-// authentication sublayer, or nil when the sublayer is disabled.
-func (w *World) AuthStats() map[graph.NodeID]AuthCounters {
-	if w.auth == nil {
-		return nil
-	}
-	out := make(map[graph.NodeID]AuthCounters, len(w.auth.stats))
-	for id, c := range w.auth.stats {
-		out[id] = *c
-	}
-	return out
-}
-
-// AuthTotals sums the authentication sublayer's counters over every entity
-// (the zero value when the sublayer is disabled).
-func (w *World) AuthTotals() AuthCounters {
-	var total AuthCounters
-	if w.auth == nil {
-		return total
-	}
-	for _, c := range w.auth.stats {
-		total.Accepted += c.Accepted
-		total.RejectedCorrupt += c.RejectedCorrupt
-		total.RejectedReplay += c.RejectedReplay
-		total.Quarantines += c.Quarantines
-		total.DroppedQuarantined += c.DroppedQuarantined
-	}
-	return total
-}
+// AuthTotals returns the authentication sublayer's counters (the zero
+// value when the sublayer is disabled).
+func (w *World) AuthTotals() AuthCounters { return w.authStats }
 
 // QuarantineEvents returns the quarantine decisions of the run, in time
 // order (nil when the sublayer is disabled or nothing was quarantined).

@@ -364,48 +364,61 @@ func DecodeIdentity(b []byte) (IdentityRecord, error) {
 	return rec, nil
 }
 
-// identityRecord gathers an entity's current identity state from the
-// sublayers (zero value when neither is enabled).
-func (w *World) identityRecord(id graph.NodeID) IdentityRecord {
+// identTake gathers an entity's identity state from the sublayers and
+// drops the in-memory copies — what a crash or a durable departure does
+// before persisting the record (the zero record when no layer keys any).
+func (w *World) identTake(id graph.NodeID) IdentityRecord {
 	var rec IdentityRecord
-	if w.auth != nil {
-		rec = w.auth.identitySnapshot(id)
+	for _, l := range w.layers {
+		l.saveIdentity(id, &rec)
 	}
-	if w.audit != nil {
-		rec.BSeqNext = w.audit.bseqNext[id]
-	}
+	w.identDrop(id, false)
 	return rec
 }
 
-// dropIdentityState forgets an entity's in-memory identity state in both
-// sublayers — what a departure (or crash) does to state that was not
-// written durably.
-func (w *World) dropIdentityState(id graph.NodeID) {
-	if w.auth != nil {
-		w.auth.dropIdentity(id)
-	}
-	if w.audit != nil {
-		w.audit.dropSenderBSeq(id)
+// identDrop forgets an entity's in-memory identity state in every
+// sublayer — what a departure (or crash) does to state that was not
+// written durably. session marks a session-keyed departure.
+func (w *World) identDrop(id graph.NodeID, session bool) {
+	for _, l := range w.layers {
+		l.dropIdentity(id, session)
 	}
 }
 
-// restoreIdentityState reinstates a persisted identity record: sender
-// counters, receiver windows and ledger, quarantines with their parole
-// timers re-armed for the remaining time, and the broadcast counter.
-func (w *World) restoreIdentityState(id graph.NodeID, rec IdentityRecord) {
-	if w.auth != nil {
-		w.auth.restoreIdentity(w, id, rec)
+// identLoad reads an entity's stable-store entry and reinstates the
+// identity record it carries — sender counters, receiver windows and
+// ledger, quarantines with their parole timers re-armed for the
+// remaining time, the broadcast counter — reporting whether it did.
+// Stores written before the durable wrapper existed (or by tests seeding
+// snapshots directly) hold the bare behavior snapshot.
+func (w *World) identLoad(id graph.NodeID) (durableSnapshot, bool) {
+	raw, ok := w.store.Load(id)
+	if !ok {
+		return durableSnapshot{}, false
 	}
-	if w.audit != nil && rec.BSeqNext > 0 {
-		w.audit.bseqNext[id] = rec.BSeqNext
+	snap, wrapped := raw.(durableSnapshot)
+	if !wrapped {
+		return durableSnapshot{behavior: raw, hasBehavior: true}, false
 	}
+	if snap.ident == nil {
+		return snap, false
+	}
+	rec, err := DecodeIdentity(snap.ident)
+	if err != nil {
+		// The store only ever holds records this process encoded; a decode
+		// failure is a bug, not an input condition.
+		panic(err.Error())
+	}
+	for _, l := range w.layers {
+		l.restoreIdentity(w, id, rec)
+	}
+	return snap, true
 }
 
 // identSaveOnLeave persists a durable identity at departure and drops the
 // in-memory copies; rejoin restores them via identRestoreOnJoin.
 func (w *World) identSaveOnLeave(id graph.NodeID) {
-	rec := w.identityRecord(id)
-	w.dropIdentityState(id)
+	rec := w.identTake(id)
 	if rec.Empty() {
 		return
 	}
@@ -418,23 +431,10 @@ func (w *World) identSaveOnLeave(id graph.NodeID) {
 // survives, and reinstates it on the joining entity.
 func (w *World) identRestoreOnJoin(id graph.NodeID) {
 	w.forgetDeparted(id)
-	raw, ok := w.store.Load(id)
-	if !ok {
-		return
+	if _, restored := w.identLoad(id); restored {
+		w.identStats.Restores++
+		w.Trace.Mark(int64(w.Engine.Now()), id, MarkIdentRestore)
 	}
-	snap, wrapped := raw.(durableSnapshot)
-	if !wrapped || snap.ident == nil {
-		return
-	}
-	rec, err := DecodeIdentity(snap.ident)
-	if err != nil {
-		// The store only ever holds records this process encoded; a decode
-		// failure is a bug, not an input condition.
-		panic(err.Error())
-	}
-	w.restoreIdentityState(id, rec)
-	w.identStats.Restores++
-	w.Trace.Mark(int64(w.Engine.Now()), id, MarkIdentRestore)
 }
 
 // identResetOnRejoin is the session-keyed rejoin: the new session is a
@@ -443,18 +443,12 @@ func (w *World) identRestoreOnJoin(id graph.NodeID) {
 // wiped verdicts are the laundering the durable mode exists to prevent;
 // they are counted and trace-marked so runs can measure them.
 func (w *World) identResetOnRejoin(id graph.NodeID) {
-	laundered := 0
-	if w.auth != nil {
-		laundered += w.auth.purgeAbout(id)
+	before := w.identStats
+	for _, l := range w.layers {
+		l.resetAbout(id, &w.identStats)
 	}
-	convictions := 0
-	if w.audit != nil {
-		convictions = w.audit.purgeAbout(id)
-	}
-	w.identStats.SessionResets++
-	w.identStats.QuarantinesLaundered += laundered
-	w.identStats.ConvictionsLaundered += convictions
-	if laundered+convictions > 0 {
+	if w.identStats.QuarantinesLaundered > before.QuarantinesLaundered ||
+		w.identStats.ConvictionsLaundered > before.ConvictionsLaundered {
 		w.Trace.Mark(int64(w.Engine.Now()), id, MarkIdentReset)
 	}
 }

@@ -272,12 +272,25 @@ type World struct {
 	envFree  []*deliveryEnv
 	hook     ChannelHook
 	sendHook SenderHook
+	// The enabled sublayers by type — what the message path reads — and
+	// the same layers as one slice in stack order (see sublayer.go).
 	rel      *reliableLayer
 	auth     *authLayer
 	audit    *auditLayer
 	reconfig *reconfigLayer
 	pex      *pexLayer
-	store    StableStore
+	layers   []sublayer
+	// genesis is epoch 0's resolved stack, what StackOf returns with the
+	// reconfiguration layer off.
+	genesis StackConfig
+	// Each sublayer counts into one world-level value that its Totals
+	// getter returns; a disabled layer's stays zero.
+	relStats      ReliableCounters
+	authStats     AuthCounters
+	auditStats    AuditCounters
+	reconfigStats ReconfigCounters
+	pexStats      PexCounters
+	store         StableStore
 	// seen marks every identity that has ever joined, so Join can tell a
 	// rejoin from a first arrival; identStats, departed, departedSet and
 	// departedPinned are the identity-continuity bookkeeping (see
@@ -325,32 +338,33 @@ func NewWorld(engine *sim.Engine, overlay topology.Overlay, factory BehaviorFact
 		lastDelivery: make(map[[2]graph.NodeID]sim.Time),
 		store:        cfg.Store,
 		seen:         make(map[graph.NodeID]bool),
+		genesis:      genesisStack(cfg),
 	}
 	if cfg.Reliable.Enabled {
-		w.rel = newReliableLayer(cfg.Reliable.withDefaults())
+		// A later epoch may flip Adaptive on; with reconfiguration the RTT
+		// estimator samples from the start so it is warm when it does.
+		w.rel = newReliableLayer(cfg.Reliable.withDefaults(), cfg.Reconfig.Enabled, &w.relStats)
+		w.layers = append(w.layers, w.rel)
 	}
 	if cfg.Auth.Enabled {
-		w.auth = newAuthLayer(cfg.Auth.withDefaults())
+		w.auth = newAuthLayer(cfg.Auth.withDefaults(), &w.authStats)
+		w.layers = append(w.layers, w.auth)
 	}
 	if cfg.Audit.Enabled {
-		w.audit = newAuditLayer(cfg.Audit.withDefaults())
+		w.audit = newAuditLayer(cfg.Audit.withDefaults(), &w.auditStats)
+		w.layers = append(w.layers, w.audit)
+	}
+	if cfg.Reconfig.Enabled {
+		w.reconfig = newReconfigLayer(w.genesis, &w.reconfigStats)
+		w.layers = append(w.layers, w.reconfig)
 	}
 	if cfg.Pex.Enabled {
 		if _, ok := overlay.(topology.LinkController); !ok {
 			panic(fmt.Sprintf("node: the pex sublayer needs direct link control, which overlay %s does not support", overlay.Name()))
 		}
-		w.pex = newPexLayer(cfg.Pex.WithDefaults(), cfg.Seed)
+		w.pex = newPexLayer(cfg.Pex.WithDefaults(), cfg.Seed, &w.pexStats)
+		w.layers = append(w.layers, w.pex)
 		engine.Every(w.pex.cfg.SampleEvery, func() { w.pex.sample(w) })
-	}
-	if cfg.Reconfig.Enabled {
-		w.reconfig = newReconfigLayer(w.genesisStack())
-		if w.rel != nil && w.rel.rtt == nil {
-			// A later epoch may flip Adaptive on; collect RTT samples from
-			// the start so the estimator is warm when it does. (Sampling
-			// consumes no rng draws, so a never-reconfigured run is
-			// bit-identical either way.)
-			w.rel.rtt = make(map[[2]graph.NodeID]*rttEstimator)
-		}
 	}
 	return w
 }
@@ -392,44 +406,22 @@ func (w *World) Join(id graph.NodeID) *Proc {
 		panic(fmt.Sprintf("node: entity %d joined twice", id))
 	}
 	now := int64(w.Engine.Now())
-	w.turnJoins++
 	rejoin := w.seen[id]
-	w.seen[id] = true
 	if rejoin {
 		w.Trace.Mark(now, id, core.MarkRejoin)
 	}
 	w.Trace.Join(now, id)
 	w.recordChanges(now, w.Overlay.AddNode(id))
-	p := &Proc{
-		ID:       id,
-		Value:    w.cfg.ValueOf(id),
-		world:    w,
-		behavior: w.factory(id),
-		alive:    true,
-	}
-	w.procs[id] = p
+	p := w.enter(id)
 	// Identity keying is an epoch-governed knob: a joiner operates under
 	// the latest committed stack, so ITS durability — not the frozen
 	// genesis config — decides whether this join restores or resets.
-	durable := w.cfg.Identity.Durable
-	if w.reconfig != nil {
-		w.reconfig.onJoin(id)
-		durable = w.reconfig.stackOf(id).Durable
+	if w.StackOf(id).Durable {
+		w.identRestoreOnJoin(id)
+	} else if rejoin {
+		w.identResetOnRejoin(id)
 	}
-	if w.auth != nil || w.audit != nil {
-		if durable {
-			w.identRestoreOnJoin(id)
-		} else if rejoin {
-			w.identResetOnRejoin(id)
-		}
-	}
-	p.behavior.Init(p)
-	if w.audit != nil {
-		w.audit.start(p)
-	}
-	if w.pex != nil {
-		w.pex.onJoin(w, p)
-	}
+	w.launch(p, durableSnapshot{})
 	return p
 }
 
@@ -441,43 +433,23 @@ func (w *World) Leave(id graph.NodeID) {
 	if !ok {
 		return
 	}
-	w.turnLeaves++
 	now := int64(w.Engine.Now())
 	// Resolve the departing entity's durability under ITS current epoch
 	// before the handshake session state is torn down.
-	durable := w.cfg.Identity.Durable
-	if w.reconfig != nil {
-		durable = w.reconfig.stackOf(id).Durable
-	}
+	durable := w.StackOf(id).Durable
 	w.recordChanges(now, w.Overlay.RemoveNode(id))
 	w.Trace.Leave(now, id)
-	for _, t := range p.timers {
-		t.ev.Cancel()
-	}
-	p.timers = nil
-	p.alive = false
-	delete(w.procs, id)
-	if w.pex != nil {
-		w.pex.onLeave(id)
-	}
-	if w.reconfig != nil {
-		w.reconfig.onLeave(id)
-	}
-	if w.auth != nil || w.audit != nil {
-		if durable {
-			// The identity persists: write its sublayer state to the stable
-			// store so a rejoin resumes the same principal.
-			w.identSaveOnLeave(id)
-		} else {
-			// Session-keyed: the departing session's own state — sender
-			// counters, its receiver-side ledger, its receipt store — dies
-			// with it. (Peers' state about it is wiped at rejoin time, not
-			// here: an identity that never returns harms nobody.)
-			w.dropIdentityState(id)
-			if w.audit != nil {
-				w.audit.purgeObserver(id)
-			}
-		}
+	w.exit(p)
+	if durable {
+		// The identity persists: write its sublayer state to the stable
+		// store so a rejoin resumes the same principal.
+		w.identSaveOnLeave(id)
+	} else {
+		// Session-keyed: the departing session's own state — sender
+		// counters, its receiver-side ledger, its receipt store — dies
+		// with it. (Peers' state about it is wiped at rejoin time, not
+		// here: an identity that never returns harms nobody.)
+		w.identDrop(id, true)
 	}
 }
 
@@ -504,19 +476,12 @@ func (w *World) Crash(id graph.NodeID) {
 	if !ok {
 		return
 	}
-	w.turnLeaves++
 	snap := durableSnapshot{}
 	if rec, ok := p.behavior.(Recoverable); ok {
 		snap.behavior, snap.hasBehavior = rec.Snapshot(), true
 	}
-	if w.auth != nil || w.audit != nil {
-		rec := w.identityRecord(id)
-		w.dropIdentityState(id)
-		if !rec.Empty() {
-			snap.ident = EncodeIdentity(rec)
-		}
-	}
-	if snap.ident != nil {
+	if rec := w.identTake(id); !rec.Empty() {
+		snap.ident = EncodeIdentity(rec)
 		w.store.Save(id, snap)
 	} else if snap.hasBehavior {
 		// Nothing beyond the behavior's own snapshot is durable; store it
@@ -526,20 +491,9 @@ func (w *World) Crash(id graph.NodeID) {
 	now := int64(w.Engine.Now())
 	w.Trace.Mark(now, id, core.MarkCrash)
 	w.Trace.Leave(now, id)
-	for _, t := range p.timers {
-		t.ev.Cancel()
-	}
-	p.timers = nil
-	p.alive = false
-	delete(w.procs, id)
-	if w.pex != nil {
-		// The view is soft state and dies with the session; recovery
-		// re-bootstraps. (The overlay edges linger, as crashes leave them.)
-		w.pex.onLeave(id)
-	}
-	if w.reconfig != nil {
-		w.reconfig.onLeave(id)
-	}
+	// The pex view is soft state and dies with the session; recovery
+	// re-bootstraps. (The overlay edges linger, as crashes leave them.)
+	w.exit(p)
 }
 
 // Recover brings a crashed entity back: it resumes executing under its
@@ -554,8 +508,6 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 		panic(fmt.Sprintf("node: entity %d recovered while present", id))
 	}
 	now := int64(w.Engine.Now())
-	w.turnJoins++
-	w.seen[id] = true
 	w.Trace.Mark(now, id, core.MarkRecover)
 	w.Trace.Join(now, id)
 	if !w.Overlay.Graph().HasNode(id) {
@@ -572,6 +524,19 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 			}
 		}
 	}
+	// The recoverer missed any commits while down; it resumes at the
+	// latest committed epoch, like a joiner.
+	p := w.enter(id)
+	snap, _ := w.identLoad(id)
+	w.launch(p, snap)
+	return p
+}
+
+// enter registers a fresh Proc for an arriving identity and runs the
+// sublayers' arrival hooks.
+func (w *World) enter(id graph.NodeID) *Proc {
+	w.turnJoins++
+	w.seen[id] = true
 	p := &Proc{
 		ID:       id,
 		Value:    w.cfg.ValueOf(id),
@@ -580,48 +545,39 @@ func (w *World) Recover(id graph.NodeID) *Proc {
 		alive:    true,
 	}
 	w.procs[id] = p
-	if w.reconfig != nil {
-		// The recoverer missed any commits while down; it resumes at the
-		// latest committed epoch, like a joiner.
-		w.reconfig.onJoin(id)
-	}
-	if raw, ok := w.store.Load(id); ok {
-		// Stores written before the durable wrapper existed (or by tests
-		// seeding snapshots directly) hold the bare behavior snapshot.
-		snap, wrapped := raw.(durableSnapshot)
-		if !wrapped {
-			snap = durableSnapshot{behavior: raw, hasBehavior: true}
-		}
-		if snap.ident != nil && (w.auth != nil || w.audit != nil) {
-			rec, err := DecodeIdentity(snap.ident)
-			if err != nil {
-				// The store only ever holds records this process encoded; a
-				// decode failure is a bug, not an input condition.
-				panic(err.Error())
-			}
-			w.restoreIdentityState(id, rec)
-		}
-		if snap.hasBehavior {
-			if rec, ok := p.behavior.(Recoverable); ok {
-				rec.Restore(p, snap.behavior)
-				if w.audit != nil {
-					w.audit.start(p)
-				}
-				if w.pex != nil {
-					w.pex.onJoin(w, p)
-				}
-				return p
-			}
-		}
-	}
-	p.behavior.Init(p)
-	if w.audit != nil {
-		w.audit.start(p)
-	}
-	if w.pex != nil {
-		w.pex.onJoin(w, p)
+	for _, l := range w.layers {
+		l.arrive(id)
 	}
 	return p
+}
+
+// launch starts an entered entity's behavior — Restore from snap when it
+// carries a behavior snapshot the behavior can take, Init otherwise —
+// and then the sublayers' start hooks.
+func (w *World) launch(p *Proc, snap durableSnapshot) {
+	if rec, ok := p.behavior.(Recoverable); ok && snap.hasBehavior {
+		rec.Restore(p, snap.behavior)
+	} else {
+		p.behavior.Init(p)
+	}
+	for _, l := range w.layers {
+		l.start(w, p)
+	}
+}
+
+// exit stops a departing entity — its timers die with it — and runs the
+// sublayers' departure hooks.
+func (w *World) exit(p *Proc) {
+	w.turnLeaves++
+	for _, t := range p.timers {
+		t.ev.Cancel()
+	}
+	p.timers = nil
+	p.alive = false
+	delete(w.procs, p.ID)
+	for _, l := range w.layers {
+		l.depart(p.ID)
+	}
 }
 
 func (w *World) recordChanges(now core.Time, chs []topology.Change) {
@@ -718,13 +674,11 @@ func (p *Proc) Send(to graph.NodeID, tag string, payload any) {
 		m.bseq = bseq
 		m.sig = w.audit.sign(p.ID, bseq, payload)
 	}
-	if w.reconfig != nil {
-		// Stamp the sender's current stack epoch BEFORE authentication:
-		// the MAC covers it, so the copy is forever bound to the rules it
-		// was sent under — retransmissions reuse these wire bytes and
-		// still verify after a key rotation.
-		m.epoch = w.reconfig.nodeEpoch[p.ID]
-	}
+	// Stamp the sender's current stack epoch BEFORE authentication: the
+	// MAC covers it, so the copy is forever bound to the rules it was sent
+	// under — retransmissions reuse these wire bytes and still verify
+	// after a key rotation.
+	m.epoch = w.EpochOf(p.ID)
 	if w.auth != nil {
 		w.auth.tag(w, &m)
 	}

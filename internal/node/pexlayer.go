@@ -126,6 +126,7 @@ type PexSample struct {
 }
 
 type pexLayer struct {
+	noHooks
 	cfg pex.Config
 	r   *rng.Rand
 	// views holds one bounded view per PRESENT entity.
@@ -136,7 +137,7 @@ type pexLayer struct {
 	strikes   map[[2]graph.NodeID]int
 	blacklist map[[2]graph.NodeID]bool
 	// idx is the order-statistic index over live entities, maintained by
-	// onJoin/onLeave; bootstrap and refresh sample candidates from it in
+	// start/depart; bootstrap and refresh sample candidates from it in
 	// O(k log n) instead of scanning the present set.
 	idx *presentIndex
 	// blockedAdj is the blacklist's symmetric adjacency: for each entity,
@@ -152,10 +153,10 @@ type pexLayer struct {
 	// convergedAt is the first sampled tick the overlay was connected
 	// (-1 until then).
 	convergedAt int64
-	totals      PexCounters
+	totals      *PexCounters
 }
 
-func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
+func newPexLayer(cfg pex.Config, seed uint64, totals *PexCounters) *pexLayer {
 	return &pexLayer{
 		cfg:         cfg,
 		r:           rng.New(seed ^ 0x9e97c3a5f0e1d2b4),
@@ -166,6 +167,7 @@ func newPexLayer(cfg pex.Config, seed uint64) *pexLayer {
 		blockedAdj:  make(map[graph.NodeID]map[graph.NodeID]int),
 		rounds:      make(map[graph.NodeID]int),
 		convergedAt: -1,
+		totals:      totals,
 	}
 }
 
@@ -263,16 +265,24 @@ func (cs pexCandidates) at(j int) graph.NodeID {
 	return cs.idx.Select(j)
 }
 
-// onJoin gives a joiner its empty view and starts its exchange rounds.
-// Bootstrapping happens at the first round the view is still empty (see
-// round), so a population that is joined first and seeded afterwards —
-// the experiment setup — never burns bootstrap introductions.
-func (px *pexLayer) onJoin(w *World, p *Proc) {
+// start gives a joiner its empty view and schedules its exchange rounds,
+// staggered by ID so a synchronous population does not fire every
+// exchange on one tick. Bootstrapping happens at the first round the view
+// is still empty (see round), so a population that is joined first and
+// seeded afterwards — the experiment setup — never burns bootstrap
+// introductions. The timers ride Proc.After and die with the entity.
+func (px *pexLayer) start(w *World, p *Proc) {
 	px.idx.Add(p.ID)
 	if px.views[p.ID] == nil {
 		px.views[p.ID] = pex.NewView(px.cfg.ViewSize)
 	}
-	px.start(w, p)
+	delay := sim.Time(1 + int64(p.ID)%int64(px.cfg.Cadence))
+	var tick func()
+	tick = func() {
+		px.round(w, p)
+		p.After(px.cfg.Cadence, tick)
+	}
+	p.After(delay, tick)
 }
 
 // bootstrap introduces an entity with an EMPTY view to up to
@@ -358,19 +368,6 @@ func (px *pexLayer) refresh(w *World, p *Proc) {
 		w.SetLink(p.ID, c, true)
 		px.totals.Links++
 	}
-}
-
-// start schedules the entity's exchange rounds, staggered by ID so a
-// synchronous population does not fire every exchange on one tick. The
-// timers ride Proc.After and die with the entity.
-func (px *pexLayer) start(w *World, p *Proc) {
-	delay := sim.Time(1 + int64(p.ID)%int64(px.cfg.Cadence))
-	var tick func()
-	tick = func() {
-		px.round(w, p)
-		p.After(px.cfg.Cadence, tick)
-	}
-	p.After(delay, tick)
 }
 
 // round is one cadence step: age the view, reconcile links, pick a
@@ -582,10 +579,10 @@ func (px *pexLayer) pardon(by, offender graph.NodeID) {
 	delete(px.strikes, pair)
 }
 
-// onLeave drops the departing entity's view (soft state dies with the
-// session; a rejoiner re-bootstraps). The blacklist ledger is identity
-// memory and survives.
-func (px *pexLayer) onLeave(id graph.NodeID) {
+// depart drops the departing entity's view (soft state dies with the
+// session; a rejoiner or recoverer re-bootstraps). The blacklist ledger
+// is identity memory and survives.
+func (px *pexLayer) depart(id graph.NodeID) {
 	px.idx.Remove(id)
 	delete(px.views, id)
 	delete(px.rounds, id)
@@ -706,12 +703,7 @@ func (w *World) PexRecordOf(holder, subject graph.NodeID) (pex.Record, bool) {
 }
 
 // PexTotals returns the sublayer's aggregate counters (zero without it).
-func (w *World) PexTotals() PexCounters {
-	if w.pex == nil {
-		return PexCounters{}
-	}
-	return w.pex.totals
-}
+func (w *World) PexTotals() PexCounters { return w.pexStats }
 
 // PexSamples returns the sampled overlay metrics stream.
 func (w *World) PexSamples() []PexSample {

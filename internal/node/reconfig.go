@@ -356,6 +356,7 @@ type reconfigAckKey struct {
 }
 
 type reconfigLayer struct {
+	noHooks
 	// epochs is the registry: epochs[e] is epoch e's resolved stack.
 	// committed, initiator and quorumBase parallel it. Epoch 0 (genesis)
 	// is committed from birth.
@@ -374,10 +375,10 @@ type reconfigLayer struct {
 	ackSeen    map[graph.NodeID]map[reconfigAckKey]bool
 	commitSeen map[graph.NodeID]map[uint64]bool
 	ackers     map[uint64]map[graph.NodeID]bool
-	counters   ReconfigCounters
+	counters   *ReconfigCounters
 }
 
-func newReconfigLayer(genesis StackConfig) *reconfigLayer {
+func newReconfigLayer(genesis StackConfig, counters *ReconfigCounters) *reconfigLayer {
 	return &reconfigLayer{
 		epochs:     []StackConfig{genesis},
 		committed:  []bool{true},
@@ -388,6 +389,7 @@ func newReconfigLayer(genesis StackConfig) *reconfigLayer {
 		ackSeen:    make(map[graph.NodeID]map[reconfigAckKey]bool),
 		commitSeen: make(map[graph.NodeID]map[uint64]bool),
 		ackers:     make(map[uint64]map[graph.NodeID]bool),
+		counters:   counters,
 	}
 }
 
@@ -405,18 +407,13 @@ func (rc *reconfigLayer) stackFor(e uint64) StackConfig {
 	return rc.epochs[e]
 }
 
-// stackOf returns a present node's current stack.
-func (rc *reconfigLayer) stackOf(id graph.NodeID) StackConfig {
-	return rc.stackFor(rc.nodeEpoch[id])
-}
-
-// onJoin bootstraps a joining (or recovering) node at the latest
-// committed epoch; onLeave drops the node's handshake session state.
-func (rc *reconfigLayer) onJoin(id graph.NodeID) {
+// arrive bootstraps a joining (or recovering) node at the latest
+// committed epoch; depart drops the node's handshake session state.
+func (rc *reconfigLayer) arrive(id graph.NodeID) {
 	rc.nodeEpoch[id] = rc.latest
 }
 
-func (rc *reconfigLayer) onLeave(id graph.NodeID) {
+func (rc *reconfigLayer) depart(id graph.NodeID) {
 	delete(rc.nodeEpoch, id)
 	delete(rc.prepSeen, id)
 	delete(rc.ackSeen, id)
@@ -682,15 +679,15 @@ func (rc *reconfigLayer) onReconfig(w *World, m Message) {
 	}
 }
 
-// keyEpochFor resolves the auth key generation a message stamped with
-// stack epoch e verifies under (0 — the genesis generation — when the
-// layer is disabled, leaving the MAC inputs bit-identical to a
-// reconfig-free build).
-func (w *World) keyEpochFor(e uint64) uint64 {
+// stackFor returns stack epoch e's resolved config: the registry entry
+// under reconfiguration, the genesis stack without it. Every epoch-
+// governed knob the sublayers read resolves through here, so a sublayer
+// reads its knobs the same way whether or not reconfiguration is on.
+func (w *World) stackFor(e uint64) StackConfig {
 	if w.reconfig == nil {
-		return 0
+		return w.genesis
 	}
-	return w.reconfig.stackFor(e).KeyEpoch
+	return w.reconfig.stackFor(e)
 }
 
 // Reconfigure registers a target stack as the next epoch, floods the
@@ -733,45 +730,31 @@ func (w *World) Reconfigure(initiator graph.NodeID, target StackConfig) uint64 {
 func (w *World) ReconfigEnabled() bool { return w.reconfig != nil }
 
 // GenesisStack returns epoch 0's resolved stack — the sublayer configs'
-// view of the world as built. With the layer disabled it synthesizes
-// the same snapshot from the static configs, so callers (fault clauses
-// flipping knobs relative to genesis) need not special-case.
-func (w *World) GenesisStack() StackConfig {
-	if w.reconfig != nil {
-		return w.reconfig.epochs[0]
-	}
-	return w.genesisStack()
-}
+// view of the world as built, whether or not the layer is enabled, so
+// callers (fault clauses flipping knobs relative to genesis) need not
+// special-case.
+func (w *World) GenesisStack() StackConfig { return w.genesis }
 
-// genesisStack derives epoch 0 from the resolved sublayer configs plus
-// the reconfig config's handshake knobs.
-func (w *World) genesisStack() StackConfig {
-	sc := w.cfg.Reconfig.Stack
-	g := StackConfig{
-		KeyEpoch:      0,
-		Durable:       w.cfg.Identity.Durable,
+// genesisStack derives epoch 0 from the sublayer configs plus the
+// reconfig config's handshake knobs.
+func genesisStack(cfg Config) StackConfig {
+	sc := cfg.Reconfig.Stack
+	audit := cfg.Audit.withDefaults()
+	return StackConfig{
+		Adaptive:      cfg.Reliable.Enabled && cfg.Reliable.Adaptive,
+		Retain:        audit.Retain,
+		PullFanout:    audit.PullFanout,
+		Retention:     audit.Retention,
+		Durable:       cfg.Identity.Durable,
 		FenceDepth:    sc.FenceDepth,
 		DrainTimeout:  sc.DrainTimeout,
 		PrepareQuorum: sc.PrepareQuorum,
-	}
-	if w.rel != nil {
-		g.Adaptive = w.rel.cfg.Adaptive
-	}
-	audit := w.cfg.Audit.withDefaults()
-	g.Retain = audit.Retain
-	g.PullFanout = audit.PullFanout
-	g.Retention = audit.Retention
-	return g.withDefaults()
+	}.withDefaults()
 }
 
 // StackOf returns the stack an entity currently operates under (the
 // genesis stack when the layer is disabled or the entity is absent).
-func (w *World) StackOf(id graph.NodeID) StackConfig {
-	if w.reconfig == nil {
-		return w.GenesisStack()
-	}
-	return w.reconfig.stackOf(id)
-}
+func (w *World) StackOf(id graph.NodeID) StackConfig { return w.stackFor(w.EpochOf(id)) }
 
 // EpochOf returns an entity's current stack epoch (0 when the layer is
 // disabled or the entity is absent).
@@ -792,9 +775,4 @@ func (w *World) LatestEpoch() uint64 {
 
 // ReconfigTotals returns the world-level reconfiguration counters (the
 // zero value when the layer is disabled).
-func (w *World) ReconfigTotals() ReconfigCounters {
-	if w.reconfig == nil {
-		return ReconfigCounters{}
-	}
-	return w.reconfig.counters
-}
+func (w *World) ReconfigTotals() ReconfigCounters { return w.reconfigStats }

@@ -338,3 +338,47 @@ func TestReconfigDisabledIsInvisible(t *testing.T) {
 		t.Fatalf("synthesized genesis stack %+v diverges from the audit defaults", g)
 	}
 }
+
+// TestStackOfWithoutReconfigIsGenesis pins the config seam with the
+// reconfiguration layer off: every entity, present or absent, operates
+// under the genesis stack, whose sublayer knobs are exactly the resolved
+// sublayer configs and whose key generation is 0.
+func TestStackOfWithoutReconfigIsGenesis(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"bare", Config{}},
+		{"reliable", Config{Reliable: ReliableConfig{Enabled: true}}},
+		{"adaptive", Config{Reliable: ReliableConfig{Enabled: true, Adaptive: true}}},
+		{"adaptive knob, layer off", Config{Reliable: ReliableConfig{Adaptive: true}}},
+		{"auth+audit", Config{Auth: AuthConfig{Enabled: true},
+			Audit: AuditConfig{Enabled: true, Retain: 32, PullFanout: 3, Retention: RetentionFIFO}}},
+		{"audit knobs, layer off", Config{Audit: AuditConfig{Retain: 16, PullFanout: 5}}},
+		{"durable", Config{Auth: AuthConfig{Enabled: true}, Identity: IdentityConfig{Durable: true}}},
+		{"full stack", Config{Reliable: ReliableConfig{Enabled: true, Adaptive: true},
+			Auth: AuthConfig{Enabled: true}, Audit: AuditConfig{Enabled: true, Retain: 8},
+			Identity: IdentityConfig{Durable: true}}},
+	} {
+		w := NewWorld(sim.New(), topology.NewRing(1), nil, tc.cfg)
+		w.Join(1)
+		audit := tc.cfg.Audit.withDefaults()
+		for _, id := range []graph.NodeID{1, 2} { // present, absent
+			st := w.StackOf(id)
+			if st.Adaptive != (tc.cfg.Reliable.Enabled && tc.cfg.Reliable.Adaptive) ||
+				st.Retain != audit.Retain || st.PullFanout != audit.PullFanout ||
+				st.Retention != audit.Retention || st.Durable != tc.cfg.Identity.Durable {
+				t.Fatalf("%s: StackOf(%d) = %+v, want the resolved sublayer configs", tc.name, id, st)
+			}
+			if st.KeyEpoch != 0 || w.stackFor(w.EpochOf(id)).KeyEpoch != 0 {
+				t.Fatalf("%s: entity %d has key epoch %d without reconfiguration", tc.name, id, st.KeyEpoch)
+			}
+			if st != w.GenesisStack() {
+				t.Fatalf("%s: StackOf(%d) = %+v differs from the genesis stack %+v", tc.name, id, st, w.GenesisStack())
+			}
+		}
+		if w.audit != nil && (w.audit.cfg.Retain != audit.Retain || w.audit.cfg.PullFanout != audit.PullFanout) {
+			t.Fatalf("%s: the audit layer resolved its knobs differently from the genesis stack", tc.name)
+		}
+	}
+}

@@ -11,7 +11,6 @@ package node
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -105,9 +104,9 @@ func (rc ReliableConfig) Validate() error {
 	return nil
 }
 
-// ReliableCounters are one entity's sender-side delivery statistics.
+// ReliableCounters are the world's sender-side delivery totals.
 type ReliableCounters struct {
-	// Acked counts messages confirmed by the receiver.
+	// Acked counts messages confirmed by their receivers.
 	Acked int
 	// Retries counts retransmissions.
 	Retries int
@@ -156,6 +155,7 @@ func (e *rttEstimator) sample(rtt float64) {
 func (e *rttEstimator) rto() float64 { return e.srtt + 4*e.rttvar }
 
 type reliableLayer struct {
+	noHooks
 	cfg ReliableConfig
 	seq uint64
 	// pending tracks unacked messages by sequence number (sender side).
@@ -163,19 +163,21 @@ type reliableLayer struct {
 	// delivered remembers which sequence numbers reached a behavior
 	// (receiver side), so retransmitted copies are acked but not replayed.
 	delivered map[uint64]bool
-	stats     map[graph.NodeID]*ReliableCounters
-	// rtt holds the adaptive estimator per directed pair (Adaptive only).
+	stats     *ReliableCounters
+	// rtt holds the adaptive estimator per directed pair (Adaptive, or
+	// warm for a later epoch that may flip it on). Sampling consumes no
+	// rng draws, so a never-reconfigured run is bit-identical either way.
 	rtt map[[2]graph.NodeID]*rttEstimator
 }
 
-func newReliableLayer(cfg ReliableConfig) *reliableLayer {
+func newReliableLayer(cfg ReliableConfig, warm bool, stats *ReliableCounters) *reliableLayer {
 	rl := &reliableLayer{
 		cfg:       cfg,
 		pending:   make(map[uint64]*pendingMsg),
 		delivered: make(map[uint64]bool),
-		stats:     make(map[graph.NodeID]*ReliableCounters),
+		stats:     stats,
 	}
-	if cfg.Adaptive {
+	if cfg.Adaptive || warm {
 		rl.rtt = make(map[[2]graph.NodeID]*rttEstimator)
 	}
 	return rl
@@ -184,8 +186,8 @@ func newReliableLayer(cfg ReliableConfig) *reliableLayer {
 // rtoFor is the first timeout of a fresh message toward to: the clamped
 // adaptive estimate when the governing policy is adaptive and one
 // exists, the fixed schedule otherwise. The policy is passed in because
-// it is epoch-governed under reconfiguration (rl.cfg.Adaptive otherwise);
-// the estimator map may be warm while the policy says fixed.
+// it is epoch-governed (World.stackFor); the estimator map may be warm
+// while the policy says fixed.
 func (rl *reliableLayer) rtoFor(adaptive bool, from, to graph.NodeID) sim.Time {
 	if adaptive && rl.rtt != nil {
 		if e := rl.rtt[[2]graph.NodeID{from, to}]; e != nil && e.inited {
@@ -202,26 +204,14 @@ func (rl *reliableLayer) rtoFor(adaptive bool, from, to graph.NodeID) sim.Time {
 	return rl.cfg.RetransmitAfter
 }
 
-func (rl *reliableLayer) counters(id graph.NodeID) *ReliableCounters {
-	c := rl.stats[id]
-	if c == nil {
-		c = &ReliableCounters{}
-		rl.stats[id] = c
-	}
-	return c
-}
-
 // send tracks m and pushes its first copy into the channel.
 func (rl *reliableLayer) send(w *World, m Message) {
 	rl.seq++
 	m.seq = rl.seq
-	adaptive := rl.cfg.Adaptive
-	if w.reconfig != nil {
-		// The RTO policy rides the message's stack epoch, fixed at send
-		// time: retries of this message keep its policy even if an epoch
-		// switch lands mid-flight.
-		adaptive = w.reconfig.stackFor(m.epoch).Adaptive
-	}
+	// The RTO policy rides the message's stack epoch, fixed at send time:
+	// retries of this message keep its policy even if an epoch switch
+	// lands mid-flight.
+	adaptive := w.stackFor(m.epoch).Adaptive
 	pm := &pendingMsg{m: m, timeout: rl.rtoFor(adaptive, m.From, m.To), sentAt: w.Engine.Now()}
 	rl.pending[m.seq] = pm
 	w.transmit(m)
@@ -255,14 +245,14 @@ func fireRetry(arg any) {
 		return
 	}
 	if pm.attempts >= rl.cfg.MaxRetries {
-		rl.counters(pm.m.From).GiveUps++
+		rl.stats.GiveUps++
 		w.Trace.Mark(now, pm.m.From, MarkGiveUp)
 		delete(rl.pending, pm.m.seq)
 		return
 	}
 	pm.attempts++
 	pm.retransmitted = true
-	rl.counters(pm.m.From).Retries++
+	rl.stats.Retries++
 	w.Trace.Mark(now, pm.m.From, MarkRetry)
 	w.transmit(pm.m)
 	pm.timeout = sim.Time(float64(pm.timeout) * rl.cfg.Backoff)
@@ -286,7 +276,7 @@ func (rl *reliableLayer) onAck(w *World, m Message) {
 	if pm.timer != nil {
 		pm.timer.Cancel()
 	}
-	rl.counters(pm.m.From).Acked++
+	rl.stats.Acked++
 	if rl.rtt != nil && !pm.retransmitted {
 		pair := [2]graph.NodeID{pm.m.From, pm.m.To}
 		e := rl.rtt[pair]
@@ -298,36 +288,6 @@ func (rl *reliableLayer) onAck(w *World, m Message) {
 	}
 }
 
-// ReliableStats returns a copy of the per-entity sender-side counters of
-// the reliable sublayer. It returns nil when the sublayer is disabled.
-func (w *World) ReliableStats() map[graph.NodeID]ReliableCounters {
-	if w.rel == nil {
-		return nil
-	}
-	out := make(map[graph.NodeID]ReliableCounters, len(w.rel.stats))
-	for id, c := range w.rel.stats {
-		out[id] = *c
-	}
-	return out
-}
-
-// ReliableTotals sums the reliable sublayer's counters over every entity
-// (the zero value when the sublayer is disabled).
-func (w *World) ReliableTotals() ReliableCounters {
-	var total ReliableCounters
-	if w.rel == nil {
-		return total
-	}
-	ids := make([]graph.NodeID, 0, len(w.rel.stats))
-	for id := range w.rel.stats {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c := w.rel.stats[id]
-		total.Acked += c.Acked
-		total.Retries += c.Retries
-		total.GiveUps += c.GiveUps
-	}
-	return total
-}
+// ReliableTotals returns the reliable sublayer's counters (the zero
+// value when the sublayer is disabled).
+func (w *World) ReliableTotals() ReliableCounters { return w.relStats }
